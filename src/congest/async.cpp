@@ -10,7 +10,6 @@
 #include <tuple>
 #include <utility>
 
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/sched.hpp"
@@ -52,61 +51,6 @@ struct EventLater {
   }
 };
 
-/// Context handed to the wrapped synchronous process; captures sends.
-/// Per-round outbox, arena-backed: the buffer comes from the shard's
-/// bump arena and is reclaimed wholesale at the next execute_round.
-using Outbox = support::ArenaVector<std::pair<int, Message>>;
-
-class AsyncContext final : public Context {
- public:
-  AsyncContext(const Graph& g, NodeId id, int round, Rng& rng, int& mate_port,
-               Outbox& outbox)
-      : g_(g),
-        id_(id),
-        round_(round),
-        rng_(rng),
-        mate_port_(mate_port),
-        outbox_(outbox) {}
-
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] int degree() const override { return g_.degree(id_); }
-  [[nodiscard]] NodeId neighbor_id(int port) const override {
-    return g_.neighbor(id_, port);
-  }
-  [[nodiscard]] Weight edge_weight(int port) const override {
-    return g_.weight(g_.incident_edges(id_)[static_cast<std::size_t>(port)]);
-  }
-  [[nodiscard]] NodeId n_bound() const override { return g_.node_count(); }
-  [[nodiscard]] int round() const override { return round_; }
-  Rng& rng() override { return rng_; }
-  void send(int port, Message msg) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    outbox_.emplace_back(port, std::move(msg));
-  }
-  [[nodiscard]] int mate_port() const override { return mate_port_; }
-  void set_mate_port(int port) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    mate_port_ = port;
-  }
-  void clear_mate() override { mate_port_ = -1; }
-
-#ifndef DMATCH_OBS_DISABLED
-  [[nodiscard]] obs::ShardObs* obs() noexcept override { return obs_; }
-  void attach_obs(obs::ShardObs* o) noexcept { obs_ = o; }
-#endif
-
- private:
-  const Graph& g_;
-  NodeId id_;
-  int round_;
-  Rng& rng_;
-  int& mate_port_;
-  Outbox& outbox_;
-#ifndef DMATCH_OBS_DISABLED
-  obs::ShardObs* obs_ = nullptr;
-#endif
-};
-
 /// A payload due on a later simulated round than sender_round + 1
 /// (delayed original or synthetic duplicate). Mirrors the engine's delay
 /// ring entries, including their (port, origin round) delivery order.
@@ -140,12 +84,10 @@ struct alignas(64) AsyncShard {
   std::exception_ptr error;
   std::uint64_t stamp_token = 0;    // for the one-message-per-port contract
   std::vector<std::uint64_t> port_stamp;
-  // Bump arena for per-round transient buffers (the outbox); reset at
-  // every execute_round, so steady-state rounds make no heap calls for
-  // scratch. Strictly shard-private, like everything else here.
-  support::Arena arena;
-#ifndef DMATCH_OBS_DISABLED
+  std::vector<Envelope> outbox;  // scratch, reused across rounds
+  RunStats sends;                // the engine context's send accounting
   obs::ShardObs* sobs = nullptr;
+#ifndef DMATCH_OBS_DISABLED
   std::vector<std::uint64_t> round_bits;  // parallels stats.round_payloads
 #endif
 };
@@ -199,7 +141,7 @@ class AlphaSynchronizerRun {
       sched_ = fault_detail::compute_crash_schedule(options_.fault,
                                                     g.node_count());
       fseed_ = fault_detail::run_seed(options_.fault.seed, 0);
-      build_slot_offsets();
+      slot_offset_ = kernel::slot_offsets(g);
     }
     DMATCH_OBS(if (options_.observer != nullptr) {
       (void)options_.observer->begin_run(num_shards_, g);
@@ -207,7 +149,7 @@ class AlphaSynchronizerRun {
         shards_[s].sobs = options_.observer->shard(s);
       }
       clock_base_ = options_.observer->clock();
-      if (slot_offset_.empty()) build_slot_offsets();
+      if (slot_offset_.empty()) slot_offset_ = kernel::slot_offsets(g);
     })
   }
 
@@ -287,15 +229,6 @@ class AlphaSynchronizerRun {
       sh.inflight_delta = 0;
     }
     DMATCH_ASSERT(data_in_flight_ >= 0);
-  }
-
-  void build_slot_offsets() {
-    slot_offset_.resize(static_cast<std::size_t>(g_.node_count()) + 1, 0);
-    for (NodeId v = 0; v < g_.node_count(); ++v) {
-      slot_offset_[static_cast<std::size_t>(v) + 1] =
-          slot_offset_[static_cast<std::size_t>(v)] +
-          static_cast<std::uint64_t>(g_.degree(v));
-    }
   }
 
   // --- wave phases (worker-side) --------------------------------------
@@ -558,6 +491,10 @@ class AlphaSynchronizerRun {
     const auto vi = static_cast<std::size_t>(v);
     DMATCH_ASSERT(round == node.executed_round + 1);
     node.executed_round = round;
+    // Virtual round r sits at clock_base_ + r on the shared timeline.
+    DMATCH_OBS(if (shard.sobs != nullptr) {
+      shard.sobs->now = clock_base_ + static_cast<std::uint64_t>(round);
+    })
     node.safe_count.erase(round - 2);  // stale bookkeeping
     shard.stats.virtual_rounds = std::max(
         shard.stats.virtual_rounds, static_cast<std::uint64_t>(round));
@@ -622,41 +559,22 @@ class AlphaSynchronizerRun {
         }
         node.extras.erase(it);
       }
-      if (options_.fault.reorder_prob > 0 && inbox.size() > 1) {
-        const std::uint64_t h = fault_detail::mix(
-            fseed_, fault_detail::kSaltReorder,
-            static_cast<std::uint64_t>(round), v);
-        if (fault_detail::to_unit(h) < options_.fault.reorder_prob) {
-          std::uint64_t state = h;
-          for (std::size_t i = inbox.size() - 1; i > 0; --i) {
-            const auto j =
-                static_cast<std::size_t>(splitmix64(state) % (i + 1));
-            std::swap(inbox[i], inbox[j]);
-          }
-          ++shard.stats.reordered_inboxes;
-          DMATCH_OBS(if (shard.sobs != nullptr) {
-            shard.sobs->trace_at(
-                clock_base_ + static_cast<std::uint64_t>(round),
-                obs::EventType::kFaultReorder, static_cast<std::uint32_t>(v));
-          })
-        }
-      }
+      kernel::reorder_inbox(options_.fault, fseed_,
+                            static_cast<std::uint64_t>(round), v, inbox,
+                            shard.stats, shard.sobs);
     }
 
-    // Arena-backed outbox: reset reclaims the previous round's scratch
-    // wholesale (nothing arena-backed outlives an execute_round call),
-    // and the CONGEST one-message-per-port contract makes degree(v) an
-    // exact reservation, so steady-state rounds never touch the heap.
-    shard.arena.reset();
-    Outbox outbox{support::ArenaAllocator<std::pair<int, Message>>(shard.arena)};
-    outbox.reserve(static_cast<std::size_t>(g_.degree(v)));
     // Mirror Network::run: halted nodes with an empty inbox are skipped
-    // (they still synchronize, sending SAFE with no data).
+    // (they still synchronize, sending SAFE with no data). The context
+    // runs in Model::kLocal: the cap is the engine's to enforce.
+    std::vector<Envelope>& outbox = shard.outbox;
+    outbox.clear();
     if (!node.proc->halted() || !inbox.empty()) {
-      AsyncContext ctx(g_, v, round, node.rng, mate_ports_[vi], outbox);
+      kernel::EngineContext ctx(g_, v, round, node.rng, mate_ports_[vi],
+                                Model::kLocal, 0, outbox, shard.sends);
       DMATCH_OBS(if (shard.sobs != nullptr) {
-        shard.sobs->now = clock_base_ + static_cast<std::uint64_t>(round);
-        ctx.attach_obs(shard.sobs);
+        // Same sender-side slots the engine's context profiles.
+        ctx.attach_obs(shard.sobs, slot_offset_[vi]);
       })
       node.proc->on_round(ctx, inbox);
     }
@@ -665,8 +583,8 @@ class AlphaSynchronizerRun {
     // at most one message per port per round. Without it the canonical
     // event key would not be unique and pop order would be ambiguous.
     ++shard.stamp_token;
-    for (const auto& [port, msg] : outbox) {
-      auto& stamp = shard.port_stamp[static_cast<std::size_t>(port)];
+    for (const Envelope& env : outbox) {
+      auto& stamp = shard.port_stamp[static_cast<std::size_t>(env.port)];
       DMATCH_EXPECTS(stamp != shard.stamp_token);
       stamp = shard.stamp_token;
     }
@@ -675,18 +593,13 @@ class AlphaSynchronizerRun {
     node.announced_safe = false;
     shard.stats.round_payloads[static_cast<std::size_t>(round)] +=
         static_cast<std::uint64_t>(outbox.size());
-    for (auto& [port, msg] : outbox) {
-      const EdgeId e = g_.incident_edges(v)[static_cast<std::size_t>(port)];
+    for (Envelope& env : outbox) {
+      const EdgeId e =
+          g_.incident_edges(v)[static_cast<std::size_t>(env.port)];
       const NodeId u = g_.other_endpoint(e, v);
       const int uport = g_.port_of_edge(u, e);
       DMATCH_OBS(if (shard.sobs != nullptr) {
-        // Same sender-side slot the engine's NodeContext profiles.
-        shard.sobs->link_message(
-            static_cast<std::size_t>(
-                slot_offset_[static_cast<std::size_t>(v)]) +
-                static_cast<std::size_t>(port),
-            msg.bits);
-        shard.round_bits[static_cast<std::size_t>(round)] += msg.bits;
+        shard.round_bits[static_cast<std::size_t>(round)] += env.msg.bits;
       })
       Event ev;
       ev.dst = u;
@@ -695,73 +608,29 @@ class AlphaSynchronizerRun {
       ev.round = round;
       ev.file_round = round + 1;
       if (fault_) {
-        // The engine's exact per-message decision hash: (run seed,
-        // sender round, receiver slot). Identical plan, identical fate.
-        const std::uint64_t in_slot =
+        // The engine's exact fate: (run seed, sender round, receiver
+        // slot). Identical plan, identical history.
+        const kernel::Fate f = kernel::message_fate(
+            options_.fault, fseed_, static_cast<std::uint64_t>(round),
             slot_offset_[static_cast<std::size_t>(u)] +
-            static_cast<std::uint64_t>(uport);
-        const FaultPlan& plan = options_.fault;
-        const std::uint64_t h = fault_detail::mix(
-            fseed_, static_cast<std::uint64_t>(round), in_slot, 0);
-        if (plan.drop_prob > 0 &&
-            fault_detail::to_unit(fault_detail::mix(
-                h, fault_detail::kSaltDrop, 0, 0)) < plan.drop_prob) {
-          ev.dropped = true;
-          ++shard.stats.dropped_messages;
-          DMATCH_OBS(if (shard.sobs != nullptr) {
-            shard.sobs->trace_at(
-                clock_base_ + static_cast<std::uint64_t>(round),
-                obs::EventType::kFaultDrop, static_cast<std::uint32_t>(u),
-                in_slot);
-          })
-        } else {
-          const bool dup =
-              plan.duplicate_prob > 0 &&
-              fault_detail::to_unit(fault_detail::mix(
-                  h, fault_detail::kSaltDup, 0, 0)) < plan.duplicate_prob;
-          const bool late =
-              plan.delay_prob > 0 &&
-              fault_detail::to_unit(fault_detail::mix(
-                  h, fault_detail::kSaltDelay, 0, 0)) < plan.delay_prob;
-          if (dup) {
-            const int d = fault_detail::delay_amount(
-                fault_detail::mix(h, fault_detail::kSaltDupAmount, 0, 0),
-                plan);
-            ++shard.stats.duplicated_messages;
-            DMATCH_OBS(if (shard.sobs != nullptr) {
-              shard.sobs->trace_at(
-                  clock_base_ + static_cast<std::uint64_t>(round),
-                  obs::EventType::kFaultDuplicate,
-                  static_cast<std::uint32_t>(u), in_slot,
-                  static_cast<std::uint64_t>(d));
-            })
-            Event copy;
-            copy.dst = u;
-            copy.dst_port = uport;
-            copy.kind = EventKind::kData;
-            copy.round = round;
-            copy.file_round = round + 1 + d;
-            copy.synth = true;
-            copy.payload = msg;
-            enqueue(s, now, std::move(copy));
-            ++shard.inflight_delta;
-          }
-          if (late) {
-            const int d = fault_detail::delay_amount(
-                fault_detail::mix(h, fault_detail::kSaltDelayAmount, 0, 0),
-                plan);
-            ++shard.stats.delayed_messages;
-            DMATCH_OBS(if (shard.sobs != nullptr) {
-              shard.sobs->trace_at(
-                  clock_base_ + static_cast<std::uint64_t>(round),
-                  obs::EventType::kFaultDelay, static_cast<std::uint32_t>(u),
-                  in_slot, static_cast<std::uint64_t>(d));
-            })
-            ev.file_round = round + 1 + d;
-          }
+                static_cast<std::size_t>(uport),
+            u, shard.stats, shard.sobs);
+        ev.dropped = f.drop;
+        if (f.dup != 0) {
+          Event copy;
+          copy.dst = u;
+          copy.dst_port = uport;
+          copy.kind = EventKind::kData;
+          copy.round = round;
+          copy.file_round = round + 1 + f.dup;
+          copy.synth = true;
+          copy.payload = env.msg;
+          enqueue(s, now, std::move(copy));
+          ++shard.inflight_delta;
         }
+        if (f.late != 0) ev.file_round = round + 1 + f.late;
       }
-      ev.payload = std::move(msg);
+      ev.payload = std::move(env.msg);
       enqueue(s, now, std::move(ev));
       ++shard.inflight_delta;
     }
@@ -784,34 +653,14 @@ class AlphaSynchronizerRun {
     const std::size_t rounds = stats_.round_payloads.size();
     obs_round_bits_.resize(rounds, 0);
     for (std::size_t r = 0; r < rounds; ++r) {
-      const std::uint64_t t = clock_base_ + r;
-      sobs->trace_at(t, obs::EventType::kRoundEnd, 0,
-                     stats_.round_payloads[r], obs_round_bits_[r]);
-      sobs->observe(ids.engine_round_messages_hist, stats_.round_payloads[r]);
-      sobs->bits_hist_totals(stats_.round_payloads[r], obs_round_bits_[r]);
-      ob.profiler().round_end(stats_.round_payloads[r], obs_round_bits_[r]);
+      sobs->now = clock_base_ + r;
+      kernel::record_round_end(ob, *sobs, stats_.round_payloads[r],
+                               obs_round_bits_[r]);
     }
     if (fault_) {
-      const std::uint64_t end_round = stats_.virtual_rounds + 1;
-      for (NodeId v = 0; v < g_.node_count(); ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (sched_.crash_at[vi] < end_round) {
-          sobs->trace_at(clock_base_ + sched_.crash_at[vi],
-                         obs::EventType::kCrash,
-                         static_cast<std::uint32_t>(v));
-        }
-        if (sched_.restart_at[vi] <= end_round) {
-          sobs->trace_at(clock_base_ + sched_.restart_at[vi],
-                         obs::EventType::kRestart,
-                         static_cast<std::uint32_t>(v));
-        }
-      }
-      sobs->count(ids.fault_dropped, stats_.dropped_messages);
-      sobs->count(ids.fault_duplicated, stats_.duplicated_messages);
-      sobs->count(ids.fault_delayed, stats_.delayed_messages);
-      sobs->count(ids.fault_reordered, stats_.reordered_inboxes);
-      sobs->count(ids.fault_crashed, stats_.crashed_nodes);
-      sobs->count(ids.fault_restarted, stats_.restarted_nodes);
+      kernel::trace_crash_window(*sobs, sched_.crash_at, sched_.restart_at, 0,
+                                 stats_.virtual_rounds + 1, clock_base_);
+      kernel::count_faults(*sobs, stats_);
     }
     sobs->count(ids.async_events, stats_.events);
     sobs->count(ids.async_payload_messages, stats_.payload_messages);
@@ -838,7 +687,7 @@ class AlphaSynchronizerRun {
 
   fault_detail::CrashSchedule sched_;
   std::uint64_t fseed_ = 0;
-  std::vector<std::uint64_t> slot_offset_;
+  std::vector<std::size_t> slot_offset_;
 
   std::vector<NodeState> nodes_;
   std::int64_t data_in_flight_ = 0;
@@ -882,69 +731,13 @@ AsyncRunResult run_synchronized(const Graph& g, const ProcessFactory& factory,
   AsyncRunResult res;
   res.stats = run_synchronized(g, factory, mate_ports, seed,
                                max_virtual_rounds, options, &res.dead_nodes);
-  Matching m(g.node_count());
-  if (!options.fault.any()) {
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const int port = mate_ports[static_cast<std::size_t>(v)];
-      if (port < 0) continue;
-      const EdgeId e = g.incident_edges(v)[static_cast<std::size_t>(port)];
-      const NodeId u = g.other_endpoint(e, v);
-      const int uport = mate_ports[static_cast<std::size_t>(u)];
-      DMATCH_EXPECTS(uport >= 0 &&
-                     g.incident_edges(u)[static_cast<std::size_t>(uport)] == e);
-      if (v < u) m.add(g, e);
-    }
-    res.matching = std::move(m);
-    return res;
+  if (options.fault.any()) {
+    // Same register healing as Network::heal_registers, against the
+    // end-of-run dead mask.
+    res.degradation.budget_exhausted = !res.stats.completed;
+    heal_register_image(g, mate_ports, res.dead_nodes, &res.degradation);
   }
-
-  // Same register healing as Network::heal_registers, against the
-  // end-of-run dead mask: decide on a frozen snapshot, then clear.
-  res.degradation.budget_exhausted = !res.stats.completed;
-  std::vector<char> clear(n, 0);
-  std::uint64_t dead_now = 0;
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (res.dead_nodes[vi]) ++dead_now;
-  }
-  res.degradation.crashed_nodes =
-      std::max(res.degradation.crashed_nodes, dead_now);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    const int port = mate_ports[vi];
-    if (port < 0) continue;
-    if (res.dead_nodes[vi]) {
-      clear[vi] = 1;
-      ++res.degradation.dead_registers_healed;
-      continue;
-    }
-    const EdgeId e = g.incident_edges(v)[static_cast<std::size_t>(port)];
-    const NodeId u = g.other_endpoint(e, v);
-    if (res.dead_nodes[static_cast<std::size_t>(u)]) {
-      clear[vi] = 1;
-      ++res.degradation.dead_registers_healed;
-      continue;
-    }
-    const int uport = mate_ports[static_cast<std::size_t>(u)];
-    const bool consistent =
-        uport >= 0 &&
-        g.incident_edges(u)[static_cast<std::size_t>(uport)] == e;
-    if (!consistent) {
-      clear[vi] = 1;
-      ++res.degradation.torn_registers_healed;
-    }
-  }
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    if (clear[vi]) mate_ports[vi] = -1;
-  }
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const int port = mate_ports[static_cast<std::size_t>(v)];
-    if (port < 0) continue;
-    const EdgeId e = g.incident_edges(v)[static_cast<std::size_t>(port)];
-    const NodeId u = g.other_endpoint(e, v);
-    if (v < u) m.add(g, e);
-  }
-  DMATCH_ENSURES(m.is_valid(g));
-  res.matching = std::move(m);
+  res.matching = extract_matching_from_image(g, mate_ports);
   return res;
 }
 

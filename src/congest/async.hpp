@@ -18,8 +18,8 @@
 // Network for the same node RNG streams -- asserted by the test suite.
 //
 // Execution model (see docs/PROTOCOLS.md, "Sharded async executor"):
-// nodes are partitioned into contiguous shards, one per worker of a
-// support/thread_pool, and each shard owns a local event queue ordered
+// nodes are partitioned into contiguous shards dispatched through a
+// support::Scheduler, and each shard owns a local event queue ordered
 // by the canonical event key (timestamp, destination, kind, port,
 // round, synthetic-copy flag). Per-event delivery delays are pure
 // hashes of that key, never draws from a shared stream, and the
@@ -46,7 +46,10 @@
 // nodes stop executing their protocol but keep synchronizing (they
 // acknowledge and announce SAFE with no data) so their neighbors never
 // deadlock, and crash-restarts resurrect them with fresh protocol state
-// and a cleared output register — exactly the engine's semantics.
+// and a cleared output register — exactly the engine's semantics. The
+// executor keeps only its event queue and synchronizer: the context a
+// node runs in, each message's fault fate and the inbox reorder are
+// congest/kernel's, shared with the round engine.
 #pragma once
 
 #include <cstdint>

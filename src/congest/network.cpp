@@ -4,143 +4,18 @@
 #include <atomic>
 #include <exception>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "support/assert.hpp"
-#include "support/wire.hpp"
 
 namespace dmatch::congest {
 
 namespace {
 
-// Per-message / per-node fault decision salts live in fault_detail so
-// the asynchronous executor draws identical histories from a plan.
-using fault_detail::kSaltDelay;
-using fault_detail::kSaltDelayAmount;
-using fault_detail::kSaltDrop;
-using fault_detail::kSaltDup;
-using fault_detail::kSaltDupAmount;
-using fault_detail::kSaltReorder;
-
-/// A faulty (delayed or duplicated) delivery parked until its round.
-/// `origin_round` keys the canonical per-receiver ordering, so delivery
-/// order never depends on the shard layout.
-struct ExtraMsg {
-  NodeId node;        // receiver
-  int port;           // receiver-side port
-  int origin_round;   // run-local round the message was sent in
-  Message msg;
-};
-
-/// Renormalization threshold for the packed 32-bit mailbox epochs: far
-/// below wrap, far above any round budget a single run can execute
-/// between two renormalization checks.
-constexpr std::uint32_t kEpochRenorm = 0xFFFF0000u;
-
-/// ExtraMsg in transit between shards, tagged with its delivery round.
-struct FaultLaneMsg {
-  NodeId node;
-  int port;
-  int deliver_round;  // run-local
-  int origin_round;
-  Message msg;
-};
-
-/// Concrete per-node Context bound to the Network's state for one round.
-class NodeContext final : public Context {
- public:
-  NodeContext(const Graph& g, NodeId id, NodeId n_bound, int round, Rng& rng,
-              int& mate_port, Model model, std::uint32_t cap_bits,
-              std::vector<Envelope>& outbox, RunStats& stats)
-      : g_(g),
-        id_(id),
-        n_bound_(n_bound),
-        round_(round),
-        rng_(rng),
-        mate_port_(mate_port),
-        model_(model),
-        cap_bits_(cap_bits),
-        outbox_(outbox),
-        stats_(stats) {}
-
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] int degree() const override { return g_.degree(id_); }
-  [[nodiscard]] NodeId neighbor_id(int port) const override {
-    return g_.neighbor(id_, port);
-  }
-  [[nodiscard]] Weight edge_weight(int port) const override {
-    return g_.weight(
-        g_.incident_edges(id_)[static_cast<std::size_t>(port)]);
-  }
-  [[nodiscard]] NodeId n_bound() const override { return n_bound_; }
-  [[nodiscard]] int round() const override { return round_; }
-  Rng& rng() override { return rng_; }
-
-  void send(int port, Message msg) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    if (model_ == Model::kCongest && msg.bits > cap_bits_) {
-      throw MessageTooLarge("message of " + std::to_string(msg.bits) +
-                            " bits exceeds CONGEST cap of " +
-                            std::to_string(cap_bits_) + " bits");
-    }
-    ++stats_.messages;
-    stats_.total_bits += msg.bits;
-    stats_.max_message_bits = std::max(stats_.max_message_bits, msg.bits);
-    DMATCH_OBS(if (obs_ != nullptr) {
-      obs_->link_message(obs_base_ + static_cast<std::size_t>(port), msg.bits);
-    })
-    outbox_.push_back({port, std::move(msg)});
-  }
-
-  [[nodiscard]] int mate_port() const override { return mate_port_; }
-  void set_mate_port(int port) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    mate_port_ = port;
-  }
-  void clear_mate() override { mate_port_ = -1; }
-
-#ifndef DMATCH_OBS_DISABLED
-  [[nodiscard]] obs::ShardObs* obs() noexcept override { return obs_; }
-  void attach_obs(obs::ShardObs* o, std::size_t base_slot) noexcept {
-    obs_ = o;
-    obs_base_ = base_slot;
-  }
-#endif
-
- private:
-#ifndef DMATCH_OBS_DISABLED
-  obs::ShardObs* obs_ = nullptr;
-  std::size_t obs_base_ = 0;  // this node's first sender-side slot
-#endif
-  const Graph& g_;
-  NodeId id_;
-  NodeId n_bound_;
-  int round_;
-  Rng& rng_;
-  int& mate_port_;
-  Model model_;
-  std::uint32_t cap_bits_;
-  std::vector<Envelope>& outbox_;
-  RunStats& stats_;
-};
-
-/// Per-shard run state. Everything here has exactly one writer (the
-/// owning worker), so the engine's only synchronization is the two
-/// barriers of the round. Cache-line aligned so neighboring shards'
-/// stats counters don't ping-pong a line.
-struct alignas(64) ShardState {
-  std::vector<NodeId> active;        // nodes to step this round (any order)
-  std::vector<NodeId> next_active;   // being built for the next round
-  RunStats stats;                    // private accumulator, merged at the end
-  std::vector<Envelope> inbox;       // scratch, reused across nodes
-  std::vector<Envelope> outbox;      // scratch, reused across nodes
-  std::exception_ptr error;          // first throw from this shard
-  // Delay ring (faulty runs only): bucket [r % window] holds the delayed
-  // and duplicated deliveries due at run-local round r, for this shard's
-  // nodes. Buckets are canonically sorted at the preceding route phase.
-  std::vector<std::vector<ExtraMsg>> ring;
-  std::uint64_t pending_extras = 0;  // entries parked across all buckets
+/// Per-shard run state plus the shard's first throw. Cache-line aligned
+/// so neighboring shards' stats counters don't ping-pong a line.
+struct alignas(64) ShardState : kernel::ShardRun {
+  std::exception_ptr error;
 };
 
 }  // namespace
@@ -151,12 +26,8 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
 
 Network::Network(const Graph& g, Model model, std::uint64_t seed,
                  std::uint32_t congest_factor, Options options)
-    : g_(&g), model_(model), options_(std::move(options)) {
+    : g_(&g), options_(std::move(options)) {
   const auto n = static_cast<std::size_t>(g.node_count());
-  unsigned log_n = 1;
-  while ((NodeId{1} << log_n) < g.node_count()) ++log_n;
-  cap_bits_ = congest_factor * std::max(log_n, 4u);
-
   num_threads_ = options_.num_threads != 0
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
@@ -167,71 +38,14 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
   // different shard counts still produce bit-identical runs.
   num_shards_ = sched_->plan_tasks(n);
 
-  // Slot-offset prefix sums stay sequential (a scan), but the per-node
-  // RNG forks and the cross-endpoint peer tables are embarrassingly
-  // parallel: each worker fills contiguous node shards, and every entry
-  // is a pure function of (seed, graph), so the tables are identical for
-  // any worker count.
+  // The slot-offset prefix sums stay sequential (a scan), but the
+  // per-node RNG forks and the cross-endpoint peer tables are
+  // embarrassingly parallel: each worker fills its own node shard.
+  k_.init(g, model, congest_factor, num_shards_);
   const Rng root(seed);
-  node_rng_.reset(n, num_shards_, Rng(0));
-  mate_port_.reset(n, num_shards_, -1);
-
-  // Cross-endpoint port tables: one lookup per message on the hot path
-  // instead of a Graph::port_of_edge call.
-  slot_offset_.assign(n + 1, 0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    slot_offset_[static_cast<std::size_t>(v) + 1] =
-        slot_offset_[static_cast<std::size_t>(v)] +
-        static_cast<std::size_t>(g.degree(v));
-  }
-  const std::size_t slots = slot_offset_[n];
-  peer_slot_.resize(slots);
-  peer_node_.resize(slots);
-  const auto build_chunk = [this, &g, &root](unsigned s) {
-    Rng* const rngs = node_rng_.shard_view(s);
-    const auto [vb, ve] = node_rng_.range(s);
-    for (std::size_t vi = vb; vi < ve; ++vi) {
-      const auto v = static_cast<NodeId>(vi);
-      rngs[vi] = root.fork(static_cast<std::uint64_t>(v));
-      const auto edges = g.incident_edges(v);
-      for (std::size_t p = 0; p < edges.size(); ++p) {
-        const EdgeId e = edges[p];
-        const NodeId u = g.other_endpoint(e, v);
-        const std::size_t i = slot_offset_[vi] + p;
-        peer_node_[i] = u;
-        peer_slot_[i] = static_cast<std::uint32_t>(
-            slot_offset_[static_cast<std::size_t>(u)] +
-            static_cast<std::size_t>(g.port_of_edge(u, e)));
-      }
-    }
-  };
-  sched_->run_tasks(num_shards_, build_chunk);
-
-  cur_msg_.resize(slots);
-  nxt_msg_.resize(slots);
-  cur_stamp_.assign(slots, 0);
-  nxt_stamp_.assign(slots, 0);
-  gates_.reset(n, num_shards_, NodeGate{});
-
-  // Precompute the whole crash schedule from the plan seed so every
-  // Network built with the same plan — at any thread count — agrees on
-  // who dies when, before a single round executes.
-  fault_active_ = options_.fault.any();
-  if (fault_active_) {
-    fault_detail::CrashSchedule sched =
-        fault_detail::compute_crash_schedule(options_.fault, g.node_count());
-    crash_at_ = std::move(sched.crash_at);
-    restart_at_ = std::move(sched.restart_at);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (crash_at_[vi] != kRoundNever && restart_at_[vi] != kRoundNever) {
-        restart_events_.emplace_back(restart_at_[vi], v);
-      }
-    }
-    std::sort(restart_events_.begin(), restart_events_.end());
-    respawn_pending_.assign(n, 0);
-    restart_cleared_.assign(n, 0);
-  }
+  sched_->run_tasks(num_shards_,
+                    [this, &root](unsigned s) { k_.build_routes(root, s); });
+  k_.init_faults(options_.fault);
 }
 
 RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
@@ -239,23 +53,11 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
   const Graph& g = *g_;
   const auto n = static_cast<std::size_t>(g.node_count());
 
-  // Fault-injection setup. Every probabilistic decision below is a pure
-  // hash of (fseed, round, slot-or-node), so the injected history is a
-  // function of the plan alone — identical for every thread count.
-  const bool faults = fault_active_;
-  const FaultPlan& plan = options_.fault;
-  const std::uint64_t base_round = lifetime_rounds_;
-  const std::uint64_t fseed =
-      faults ? fault_detail::run_seed(plan.seed, fault_nonce_++) : 0;
-  const int max_d = faults ? std::max(1, plan.max_delay) : 0;
-  // Ring width: a message sent at round r is parked for round r+2 ..
-  // r+1+max_d, and buckets r and r+1 are in use, so max_d+2 never wraps
-  // a live bucket onto one being filled.
-  const int delay_window = faults ? max_d + 2 : 0;
-
-  // Packed 32-bit epochs alias only after ~2^32 rounds; renormalize the
-  // stamp space long before that (cold: once per ~4e9 rounds / runs).
-  if (epoch_ >= kEpochRenorm) renormalize_epochs();
+  // Every probabilistic fault decision is a pure hash of (run seed,
+  // round, slot-or-node), so the injected history is a function of the
+  // plan alone — identical for every thread count.
+  const kernel::RunFrame rf = k_.begin_run(options_.fault);
+  const bool faults = rf.faults();
   if (options_.sched.profile) sched_->reset_profile();
 
   const unsigned num_shards = num_shards_;
@@ -263,13 +65,12 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     return support::balanced_part_of(n, num_shards,
                                      static_cast<std::size_t>(v));
   };
+  const auto shard_range = [n, num_shards](unsigned s) {
+    return support::balanced_range(n, num_shards, s);
+  };
 
   std::vector<ShardState> shards(num_shards);
-  if (faults) {
-    for (ShardState& shard : shards) {
-      shard.ring.resize(static_cast<std::size_t>(delay_window));
-    }
-  }
+  for (unsigned s = 0; s < num_shards; ++s) k_.bind(shards[s], s, rf);
   // Activity lanes: lane(src, dst) carries the ids of nodes in shard dst
   // that shard src delivered a message to; the payloads themselves go
   // straight into the port slots. Drained by dst at the routing barrier.
@@ -280,258 +81,71 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
   };
   // Same shape for faulty (delayed / duplicated) deliveries, which carry
   // their payload with them because they bypass the port slots.
-  std::vector<std::vector<FaultLaneMsg>> fault_lanes(
+  std::vector<std::vector<kernel::LateMsg>> fault_lanes(
       faults ? static_cast<std::size_t>(num_shards) * num_shards : 0);
   const auto fault_lane =
-      [&](unsigned src, unsigned dst) -> std::vector<FaultLaneMsg>& {
+      [&](unsigned src, unsigned dst) -> std::vector<kernel::LateMsg>& {
     return fault_lanes[static_cast<std::size_t>(src) * num_shards + dst];
   };
 
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(n);
   // Shard-major construction: shards are contiguous ascending node
-  // ranges, so this visits nodes in the same global ascending order as
-  // before while touching each register segment exactly once.
+  // ranges, so this visits nodes in global ascending order while touching
+  // each register segment exactly once.
+  std::vector<std::unique_ptr<Process>> procs(n);
   for (unsigned s = 0; s < num_shards; ++s) {
-    int* const regs = mate_port_.shard_view(s);
-    const auto [vb, ve] = mate_port_.range(s);
-    for (std::size_t vi = vb; vi < ve; ++vi) {
-      const auto v = static_cast<NodeId>(vi);
-      if (faults) {
-        respawn_pending_[vi] = 0;
-        // A crash-restart interval that completed before this run began:
-        // the node comes back with a cleared output register, once.
-        if (restart_at_[vi] <= base_round && !restart_cleared_[vi]) {
-          regs[vi] = -1;
-          restart_cleared_[vi] = 1;
-        }
-      }
-      procs.push_back(factory(v, g));
-      // nullptr = parked for this run (see ProcessFactory): never
-      // scheduled, zero allocation. A process that starts out halted is
-      // likewise never stepped (and, with no messages in flight yet,
-      // cannot be woken) until someone contacts it. Currently dead
-      // nodes wait for their restart event.
-      if (procs.back() != nullptr && !procs.back()->halted() &&
-          !(faults && dead_at(v, base_round))) {
-        shards[s].active.push_back(v);
-      }
-    }
+    const auto [vb, ve] = shard_range(s);
+    k_.spawn(shards[s], rf, vb, ve, factory, procs, rf.base_round);
   }
 
   RunStats stats;
   std::atomic<bool> failed{false};
   std::uint64_t routed_before = 0;
 
-#ifndef DMATCH_OBS_DISABLED
-  // Observability attach: per-shard single-writer handles, a `profiled`
-  // flag saying whether this run's graph feeds the link profiler, and
-  // (under faults only) per-round snapshots so an aborted partial round
-  // never leaks shard-layout-dependent events or counts.
-  obs::Observer* const observer = options_.observer;
-  const bool profiled =
-      observer != nullptr && observer->begin_run(num_shards, g);
-  std::vector<obs::ShardObs*> sobs(num_shards, nullptr);
-  const std::uint64_t run_start_clock =
-      observer != nullptr ? observer->clock() : 0;
-  if (observer != nullptr) {
-    for (unsigned s = 0; s < num_shards; ++s) sobs[s] = observer->shard(s);
-  }
-  std::uint64_t obs_bits_before = 0;
-  std::vector<std::vector<std::uint64_t>> obs_slab_snap;
-  std::vector<obs::TraceSink::Mark> obs_trace_marks(num_shards);
-  obs::CongestionProfiler::LinkSnapshot obs_link_snap;
-#endif
+  // Observability attach: per-shard single-writer handles and a
+  // `profiled` flag saying whether this run's graph feeds the link
+  // profiler.
+  obs::Observer* const observer = this->observer();
+  bool profiled = false;
+  [[maybe_unused]] std::uint64_t run_start_clock = 0;
+  [[maybe_unused]] std::uint64_t obs_bits_before = 0;
+  DMATCH_OBS(if (observer != nullptr) {
+    profiled = observer->begin_run(num_shards, g);
+    run_start_clock = observer->clock();
+    for (unsigned s = 0; s < num_shards; ++s) {
+      shards[s].obs = observer->shard(s);
+    }
+  })
 
   const auto for_each_shard = [&](const std::function<void(unsigned)>& fn) {
     sched_->run_tasks(num_shards, fn);
   };
 
-  // On every exit (including exceptions) jump the epoch past both mailbox
-  // buffers so no stale message or pending mark can leak into a later run.
-  const auto invalidate_state = [&] {
-    epoch_ += 2;
-    gates_.fill(NodeGate{});
+  // Deliveries of shard s: on-time ones into the port slots plus an
+  // activity-lane entry, faulty ones onto the fault lane of the
+  // receiver's shard.
+  struct LaneSink {
+    kernel::State& k;
+    unsigned s;
+    const decltype(lane)& on_time;
+    const decltype(fault_lane)& late;
+    const decltype(shard_of)& owner;
+    void deliver(NodeId u, std::size_t in_slot, Message&& msg) {
+      k.post(in_slot, std::move(msg));
+      on_time(s, owner(u)).push_back(u);
+    }
+    void park(kernel::LateMsg&& m) {
+      late(s, owner(m.extra.node)).push_back(std::move(m));
+    }
   };
 
   const auto step_shard = [&](int round) {
     return [&, round](unsigned s) {
       ShardState& shard = shards[s];
-      // Shard-local slab views: all per-node accesses below stay inside
-      // this shard's 64-byte-aligned segments.
-      int* const regs = mate_port_.shard_view(s);
-      Rng* const rngs = node_rng_.shard_view(s);
-      Network::NodeGate* const gates = gates_.shard_view(s);
+      LaneSink sink{k_, s, lane, fault_lane, shard_of};
       try {
-        const std::uint32_t next_epoch = epoch_ + 1;
-        const std::uint64_t life_round =
-            base_round + static_cast<std::uint64_t>(round);
         for (const NodeId v : shard.active) {
           if (failed.load(std::memory_order_relaxed)) break;
-          const auto vi = static_cast<std::size_t>(v);
-          const std::size_t base = slot_offset_[vi];
-
-          if (faults) {
-            if (dead_at(v, life_round)) {
-              // Dead node: consume and discard everything addressed to
-              // it. Delayed deliveries stay parked; the route phase
-              // clears the bucket wholesale after this round.
-              shard.stats.dropped_messages += gates[vi].rcv;
-              gates[vi].rcv = 0;
-              const auto& bucket =
-                  shard.ring[static_cast<std::size_t>(round % delay_window)];
-              auto it = std::lower_bound(
-                  bucket.begin(), bucket.end(), v,
-                  [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-              for (; it != bucket.end() && it->node == v; ++it) {
-                ++shard.stats.dropped_messages;
-              }
-              continue;
-            }
-            if (respawn_pending_[vi]) {
-              // Crash-restart: fresh protocol state, cleared register.
-              respawn_pending_[vi] = 0;
-              restart_cleared_[vi] = 1;
-              regs[vi] = -1;
-              procs[vi] = factory(v, g);
-            }
-          }
-
-          if (procs[vi] == nullptr) {
-            // Parked node (factory returned nullptr): discard anything
-            // addressed to it. The stale port slots expire with the
-            // epoch stamp; delayed-ring buckets are cleared wholesale
-            // by the route phase.
-            gates[vi].rcv = 0;
-            continue;
-          }
-
-          // Gather the inbox from the port slots; slots are visited in
-          // port order, so no sort is needed, and the receive counter
-          // cuts the scan short.
-          shard.inbox.clear();
-          std::uint32_t remaining = gates[vi].rcv;
-          gates[vi].rcv = 0;
-          const std::size_t slot_end = slot_offset_[vi + 1];
-          for (std::size_t slot = base; remaining > 0 && slot < slot_end;
-               ++slot) {
-            if (cur_stamp_[slot] == epoch_) {
-              shard.inbox.push_back({static_cast<int>(slot - base),
-                                     std::move(cur_msg_[slot])});
-              --remaining;
-            }
-          }
-          DMATCH_ASSERT(remaining == 0);
-
-          if (faults) {
-            // Append delayed / duplicated deliveries due this round. The
-            // bucket was sorted by (node, port, origin round) at the last
-            // route phase, so this order is shard-layout independent.
-            auto& bucket =
-                shard.ring[static_cast<std::size_t>(round % delay_window)];
-            auto it = std::lower_bound(
-                bucket.begin(), bucket.end(), v,
-                [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-            for (; it != bucket.end() && it->node == v; ++it) {
-              shard.inbox.push_back({it->port, std::move(it->msg)});
-            }
-          }
-
-          if (procs[vi]->halted() && shard.inbox.empty()) continue;
-
-          if (faults && plan.reorder_prob > 0 && shard.inbox.size() > 1) {
-            const std::uint64_t h =
-                fault_detail::mix(fseed, kSaltReorder, life_round, v);
-            if (fault_detail::to_unit(h) < plan.reorder_prob) {
-              std::uint64_t state = h;
-              for (std::size_t i = shard.inbox.size() - 1; i > 0; --i) {
-                const auto j =
-                    static_cast<std::size_t>(splitmix64(state) % (i + 1));
-                std::swap(shard.inbox[i], shard.inbox[j]);
-              }
-              ++shard.stats.reordered_inboxes;
-              DMATCH_OBS(if (sobs[s] != nullptr) {
-                sobs[s]->trace(obs::EventType::kFaultReorder,
-                               static_cast<std::uint32_t>(v));
-              })
-            }
-          }
-
-          shard.outbox.clear();
-          NodeContext ctx(g, v, g.node_count(), round, rngs[vi], regs[vi],
-                          model_, cap_bits_, shard.outbox, shard.stats);
-          DMATCH_OBS(ctx.attach_obs(sobs[s], base);)
-          procs[vi]->on_round(ctx, shard.inbox);
-
-          for (Envelope& env : shard.outbox) {
-            const std::size_t out_slot =
-                base + static_cast<std::size_t>(env.port);
-            const std::size_t in_slot = peer_slot_[out_slot];
-            const NodeId u = peer_node_[out_slot];
-            if (faults) {
-              const std::uint64_t h =
-                  fault_detail::mix(fseed, life_round, in_slot, 0);
-              if (plan.drop_prob > 0 &&
-                  fault_detail::to_unit(fault_detail::mix(h, kSaltDrop, 0, 0)) <
-                      plan.drop_prob) {
-                ++shard.stats.dropped_messages;
-                DMATCH_OBS(if (sobs[s] != nullptr) {
-                  sobs[s]->trace(obs::EventType::kFaultDrop,
-                                 static_cast<std::uint32_t>(u), in_slot);
-                })
-                continue;
-              }
-              const bool dup =
-                  plan.duplicate_prob > 0 &&
-                  fault_detail::to_unit(fault_detail::mix(h, kSaltDup, 0, 0)) <
-                      plan.duplicate_prob;
-              const bool late =
-                  plan.delay_prob > 0 &&
-                  fault_detail::to_unit(
-                      fault_detail::mix(h, kSaltDelay, 0, 0)) < plan.delay_prob;
-              if (dup || late) {
-                const int rport = static_cast<int>(
-                    in_slot - slot_offset_[static_cast<std::size_t>(u)]);
-                if (dup) {
-                  const int d = fault_detail::delay_amount(
-                      fault_detail::mix(h, kSaltDupAmount, 0, 0), plan);
-                  ++shard.stats.duplicated_messages;
-                  DMATCH_OBS(if (sobs[s] != nullptr) {
-                    sobs[s]->trace(obs::EventType::kFaultDuplicate,
-                                   static_cast<std::uint32_t>(u), in_slot,
-                                   static_cast<std::uint64_t>(d));
-                  })
-                  fault_lane(s, shard_of(u))
-                      .push_back({u, rport, round + 1 + d, round, env.msg});
-                }
-                if (late) {
-                  // The only copy arrives late, through the delay ring.
-                  const int d = fault_detail::delay_amount(
-                      fault_detail::mix(h, kSaltDelayAmount, 0, 0), plan);
-                  ++shard.stats.delayed_messages;
-                  DMATCH_OBS(if (sobs[s] != nullptr) {
-                    sobs[s]->trace(obs::EventType::kFaultDelay,
-                                   static_cast<std::uint32_t>(u), in_slot,
-                                   static_cast<std::uint64_t>(d));
-                  })
-                  fault_lane(s, shard_of(u))
-                      .push_back(
-                          {u, rport, round + 1 + d, round, std::move(env.msg)});
-                  continue;
-                }
-              }
-            }
-            // At most one message per port per round; a second send would
-            // silently overwrite the first.
-            DMATCH_EXPECTS(nxt_stamp_[in_slot] != next_epoch);
-            nxt_msg_[in_slot] = std::move(env.msg);
-            nxt_stamp_[in_slot] = next_epoch;
-            lane(s, shard_of(u)).push_back(u);
-          }
-          if (!procs[vi]->halted()) {
-            shard.next_active.push_back(v);
-            gates[vi].mark = next_epoch;
-          }
+          k_.step_node(shard, rf, round, v, procs, factory, sink);
         }
       } catch (...) {
         shard.error = std::current_exception();
@@ -543,73 +157,22 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
   const auto route_shard = [&](int round) {
     return [&, round](unsigned t) {
       ShardState& shard = shards[t];
-      Network::NodeGate* const gates = gates_.shard_view(t);
-      const std::uint32_t next_epoch = epoch_ + 1;
       for (unsigned s = 0; s < num_shards; ++s) {
         std::vector<NodeId>& box = lane(s, t);
-        for (const NodeId u : box) {
-          // One packed 8-byte gate record per delivered node: the count
-          // bump and the scheduling mark share a cache line touch.
-          const auto ui = static_cast<std::size_t>(u);
-          ++gates[ui].rcv;
-          if (gates[ui].mark != next_epoch) {
-            gates[ui].mark = next_epoch;
-            shard.next_active.push_back(u);
-          }
-        }
+        for (const NodeId u : box) k_.wake(shard, u);
         box.clear();
       }
       if (!faults) return;
-
       // Park this round's delayed / duplicated sends in the delay ring.
       for (unsigned s = 0; s < num_shards; ++s) {
-        std::vector<FaultLaneMsg>& box = fault_lane(s, t);
-        for (FaultLaneMsg& fm : box) {
-          shard
-              .ring[static_cast<std::size_t>(fm.deliver_round % delay_window)]
-              .push_back({fm.node, fm.port, fm.origin_round, std::move(fm.msg)});
-          ++shard.pending_extras;
+        std::vector<kernel::LateMsg>& box = fault_lane(s, t);
+        for (kernel::LateMsg& m : box) {
+          kernel::State::park(shard, rf, std::move(m));
         }
         box.clear();
       }
-      // The bucket due this round was consumed at the step phase.
-      auto& done = shard.ring[static_cast<std::size_t>(round % delay_window)];
-      shard.pending_extras -= done.size();
-      done.clear();
-      // Canonicalize next round's bucket and wake its receivers. Sorted
-      // by (node, port, origin round), the delivery order is a function
-      // of the plan alone, never of which shard parked each message.
-      auto& next =
-          shard.ring[static_cast<std::size_t>((round + 1) % delay_window)];
-      std::sort(next.begin(), next.end(),
-                [](const ExtraMsg& a, const ExtraMsg& b) {
-                  return std::tie(a.node, a.port, a.origin_round) <
-                         std::tie(b.node, b.port, b.origin_round);
-                });
-      for (const ExtraMsg& e : next) {
-        const auto ui = static_cast<std::size_t>(e.node);
-        if (gates[ui].mark != next_epoch) {
-          gates[ui].mark = next_epoch;
-          shard.next_active.push_back(e.node);
-        }
-      }
-      // Wake this shard's nodes whose restart round is next round.
-      const std::uint64_t wake =
-          base_round + static_cast<std::uint64_t>(round) + 1;
-      auto lo = std::lower_bound(restart_events_.begin(),
-                                 restart_events_.end(),
-                                 std::make_pair(wake, NodeId{0}));
-      for (; lo != restart_events_.end() && lo->first == wake; ++lo) {
-        const NodeId u = lo->second;
-        if (shard_of(u) != t) continue;
-        const auto ui = static_cast<std::size_t>(u);
-        respawn_pending_[ui] = 1;
-        ++shard.stats.restarted_nodes;
-        if (gates[ui].mark != next_epoch) {
-          gates[ui].mark = next_epoch;
-          shard.next_active.push_back(u);
-        }
-      }
+      const auto [lo, hi] = shard_range(t);
+      k_.finish_route(shard, rf, round, lo, hi);
     };
   };
 
@@ -621,58 +184,33 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     });
   };
 
-  // Under faults, a protocol abort (its invariants may legitimately break)
-  // must leave deterministic registers: shards step independently until the
-  // barrier, so the aborted round's partial writes depend on the shard
-  // layout. Snapshot at round start and roll back on abort.
-  std::vector<int> reg_snapshot;
-
+  kernel::RoundRollback rollback;
   int executed = 0;
   bool quiesced = false;
   for (; executed < max_rounds; ++executed) {
     quiesced = all_idle();
     if (quiesced) break;
-    // Between rounds is the other safe renormalization point (live state
-    // is the current inbox + receive counters, both preserved), covering
+    // Between rounds is the other safe renormalization point, covering
     // single runs long enough to approach the 32-bit epoch ceiling.
-    if (epoch_ >= kEpochRenorm) renormalize_epochs();
+    k_.renormalize_if_due();
 
-#ifndef DMATCH_OBS_DISABLED
-    if (observer != nullptr) {
+    DMATCH_OBS(if (observer != nullptr) {
       const std::uint64_t now = observer->clock();
+      for (ShardState& shard : shards) shard.obs->now = now;
+    })
+    // Snapshot before emitting anything, so an aborted round rolls back
+    // to a state with no trace of the round at all.
+    if (faults) rollback.capture(k_, observer, num_shards, profiled);
+    DMATCH_OBS(if (observer != nullptr) {
       std::uint64_t scheduled = 0;
-      for (unsigned s = 0; s < num_shards; ++s) {
-        sobs[s]->now = now;
-        scheduled += shards[s].active.size();
-      }
-      if (faults) {
-        // Snapshot before emitting anything, so an aborted round rolls
-        // back to a state with no trace of the round at all.
-        obs_slab_snap = observer->metrics().snapshot();
-        for (unsigned s = 0; s < num_shards; ++s) {
-          obs_trace_marks[s] = observer->trace_sink().mark(s);
-        }
-        if (profiled) obs_link_snap = observer->profiler().snapshot_links();
-      }
-      sobs[0]->trace(obs::EventType::kRoundStart, 0, scheduled);
-    }
-#endif
+      for (const ShardState& shard : shards) scheduled += shard.active.size();
+      shards[0].obs->trace(obs::EventType::kRoundStart, 0, scheduled);
+    })
 
-    if (faults) mate_port_.copy_to(reg_snapshot);
     for_each_shard(step_shard(executed));
     if (failed.load(std::memory_order_relaxed)) {
-      if (faults) mate_port_.assign_from(reg_snapshot);
-#ifndef DMATCH_OBS_DISABLED
-      if (observer != nullptr && faults) {
-        observer->metrics().restore(obs_slab_snap);
-        for (unsigned s = 0; s < num_shards; ++s) {
-          observer->trace_sink().rewind(s, std::move(obs_trace_marks[s]));
-        }
-        if (profiled) observer->profiler().restore_links(obs_link_snap);
-      }
-#endif
-      invalidate_state();
-      lifetime_rounds_ = base_round + static_cast<std::uint64_t>(executed);
+      if (faults) rollback.restore(k_, observer, num_shards, profiled);
+      k_.end_run(rf, executed);
       for (const ShardState& shard : shards) {
         if (shard.error != nullptr) std::rethrow_exception(shard.error);
       }
@@ -686,23 +224,16 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     routed_before = routed;
     ++stats.rounds;
 
-#ifndef DMATCH_OBS_DISABLED
-    if (observer != nullptr) {
+    DMATCH_OBS(if (observer != nullptr) {
       std::uint64_t bits = 0;
       for (const ShardState& shard : shards) bits += shard.stats.total_bits;
-      sobs[0]->trace(obs::EventType::kRoundEnd, 0, sent,
-                     bits - obs_bits_before);
-      sobs[0]->observe(sobs[0]->ids().engine_round_messages_hist, sent);
-      sobs[0]->bits_hist_totals(sent, bits - obs_bits_before);
-      observer->profiler().round_end(sent, bits - obs_bits_before);
+      kernel::record_round_end(*observer, *shards[0].obs, sent,
+                               bits - obs_bits_before);
       obs_bits_before = bits;
       observer->advance_clock();
-    }
-#endif
+    })
 
-    std::swap(cur_msg_, nxt_msg_);
-    std::swap(cur_stamp_, nxt_stamp_);
-    ++epoch_;
+    k_.advance_round();
     for (ShardState& shard : shards) {
       std::swap(shard.active, shard.next_active);
       shard.next_active.clear();
@@ -714,57 +245,15 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     quiesced = all_idle();
   }
   stats.completed = quiesced;
-  if (faults) {
-    // Deliveries still parked when the budget ran out are lost: the next
-    // run starts with fresh rings.
-    for (ShardState& shard : shards) {
-      shard.stats.dropped_messages += shard.pending_extras;
-    }
-    // Count the crash events that fired inside this run's round window
-    // (restarts were counted at their route-phase wakeups).
-    const std::uint64_t end_round =
-        base_round + static_cast<std::uint64_t>(executed);
-    for (std::size_t vi = 0; vi < n; ++vi) {
-      if (crash_at_[vi] >= base_round && crash_at_[vi] < end_round) {
-        ++stats.crashed_nodes;
-      }
-    }
+  for (unsigned s = 0; s < num_shards; ++s) {
+    const auto [lo, hi] = shard_range(s);
+    k_.close_run(shards[s], rf, executed, lo, hi);
+    stats.merge(shards[s].stats);
   }
-  for (const ShardState& shard : shards) stats.merge(shard.stats);
 
-#ifndef DMATCH_OBS_DISABLED
-  if (observer != nullptr) {
-    obs::ShardObs* const o = sobs[0];
-    if (faults) {
-      // Reconstruct crash/restart instants on this run's clock window —
-      // the same windows the RunStats counters use.
-      const std::uint64_t end_round =
-          base_round + static_cast<std::uint64_t>(executed);
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (crash_at_[vi] >= base_round && crash_at_[vi] < end_round) {
-          o->trace_at(run_start_clock + (crash_at_[vi] - base_round),
-                      obs::EventType::kCrash, static_cast<std::uint32_t>(v));
-        }
-        if (restart_at_[vi] > base_round && restart_at_[vi] <= end_round) {
-          o->trace_at(run_start_clock + (restart_at_[vi] - base_round),
-                      obs::EventType::kRestart, static_cast<std::uint32_t>(v));
-        }
-      }
-    }
-    // Import the run's totals into the registry off the hot path.
-    const obs::StdMetricIds& mid = o->ids();
-    o->count(mid.engine_runs, 1);
-    o->count(mid.engine_rounds, stats.rounds);
-    o->count(mid.engine_messages, stats.messages);
-    o->count(mid.engine_bits, stats.total_bits);
-    o->gauge_max(mid.engine_max_message_bits, stats.max_message_bits);
-    o->count(mid.fault_dropped, stats.dropped_messages);
-    o->count(mid.fault_duplicated, stats.duplicated_messages);
-    o->count(mid.fault_delayed, stats.delayed_messages);
-    o->count(mid.fault_reordered, stats.reordered_inboxes);
-    o->count(mid.fault_crashed, stats.crashed_nodes);
-    o->count(mid.fault_restarted, stats.restarted_nodes);
+  DMATCH_OBS(if (observer != nullptr) {
+    obs::ShardObs* const o = shards[0].obs;
+    kernel::export_run_obs(*o, k_, rf, executed, run_start_clock, stats);
     // Engine-side half of the round-accounting cross-check (the full
     // check lives in core/verify): the profiler's curve tail must
     // replicate RunStats.round_messages exactly.
@@ -782,14 +271,12 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
       const auto& service = sched_->task_service_ns();
       for (unsigned t = 0; t < num_shards && t < service.size(); ++t) {
         o->trace(obs::EventType::kSchedShard, t, service[t]);
-        o->observe(mid.sched_shard_service_ns, service[t]);
+        o->observe(o->ids().sched_shard_service_ns, service[t]);
       }
     }
-  }
-#endif
+  })
 
-  invalidate_state();
-  lifetime_rounds_ = base_round + static_cast<std::uint64_t>(executed);
+  k_.end_run(rf, executed);
   total_.merge(stats);
   return stats;
 }
@@ -808,7 +295,7 @@ Matching Network::extract_matching() const {
   // boundaries, and a flat copy keeps that random access cheap.
   const unsigned tasks = num_shards_;
   std::vector<int> reg;
-  mate_port_.copy_to(reg);
+  k_.reg.copy_to(reg);
   std::vector<std::vector<EdgeId>> found(tasks);
   const auto scan = [&](unsigned w) {
     const auto [vb, ve] = support::balanced_range(
@@ -846,7 +333,7 @@ Matching Network::extract_matching_resilient(DegradationReport* report) const {
   // partials in any fixed order reproduces the sequential counts.
   const unsigned workers = num_shards_;
   std::vector<int> reg;
-  mate_port_.copy_to(reg);
+  k_.reg.copy_to(reg);
   std::vector<std::vector<EdgeId>> found(workers);
   std::vector<std::uint64_t> dead_part(workers, 0);
   std::vector<std::uint64_t> dead_healed_part(workers, 0);
@@ -919,7 +406,7 @@ Matching Network::extract_matching_resilient(std::span<const NodeId> dirty,
   std::uint64_t dead_now = 0;
   for (const NodeId v : dirty) {
     const auto vi = static_cast<std::size_t>(v);
-    const int port = mate_port_.at(vi);
+    const int port = k_.reg.at(vi);
     if (node_dead(v)) {
       ++dead_now;
       if (port >= 0) ++rep.dead_registers_healed;
@@ -932,7 +419,7 @@ Matching Network::extract_matching_resilient(std::span<const NodeId> dirty,
       ++rep.dead_registers_healed;
       continue;
     }
-    const int uport = mate_port_.at(static_cast<std::size_t>(u));
+    const int uport = k_.reg.at(static_cast<std::size_t>(u));
     const bool consistent =
         uport >= 0 && g.incident_edges(u)[static_cast<std::size_t>(uport)] == e;
     if (!consistent) {
@@ -1024,13 +511,13 @@ void Network::heal_registers(DegradationReport* report) {
   // crash-schedule dead mask and writes the healed snapshot back to the
   // register slabs wholesale.
   std::vector<int> reg;
-  mate_port_.copy_to(reg);
+  k_.reg.copy_to(reg);
   std::vector<char> dead(n, 0);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     if (node_dead(v)) dead[static_cast<std::size_t>(v)] = 1;
   }
   heal_register_image(g, reg, dead, report);
-  mate_port_.assign_from(reg);
+  k_.reg.assign_from(reg);
 }
 
 void Network::set_matching(const Matching& m) {
@@ -1043,7 +530,7 @@ void Network::set_matching(const Matching& m) {
     reg[static_cast<std::size_t>(v)] =
         e == kNoEdge ? -1 : g.port_of_edge(v, e);
   }
-  mate_port_.assign_from(reg);
+  k_.reg.assign_from(reg);
 }
 
 std::size_t Network::restore_registers(std::span<const int> image) {
@@ -1054,8 +541,8 @@ std::size_t Network::restore_registers(std::span<const int> image) {
   // O(dirty) cache lines instead of the whole register file.
   std::size_t dirty = 0;
   for (unsigned s = 0; s < num_shards_; ++s) {
-    int* const regs = mate_port_.shard_view(s);
-    const auto [vb, ve] = mate_port_.range(s);
+    int* const regs = k_.reg.shard_view(s);
+    const auto [vb, ve] = k_.reg.range(s);
     for (std::size_t vi = vb; vi < ve; ++vi) {
       if (regs[vi] != image[vi]) {
         regs[vi] = image[vi];
@@ -1064,25 +551,6 @@ std::size_t Network::restore_registers(std::span<const int> image) {
     }
   }
   return dirty;
-}
-
-void Network::renormalize_epochs() {
-  // Remap the 32-bit stamp space so epochs restart at 2 without touching
-  // message payloads. Callable only between rounds (the run loop's top)
-  // or between runs: live state is then exactly the current-round inbox
-  // (cur stamps equal to epoch_) and the receive counters, which are
-  // kept; scheduling marks and nxt stamps are stale by construction at
-  // those points and collapse to 0.
-  for (std::size_t i = 0; i < cur_stamp_.size(); ++i) {
-    cur_stamp_[i] = cur_stamp_[i] == epoch_ ? 2u : 0u;
-    nxt_stamp_[i] = 0;
-  }
-  for (unsigned s = 0; s < gates_.shards(); ++s) {
-    NodeGate* const gates = gates_.shard_view(s);
-    const auto [vb, ve] = gates_.range(s);
-    for (std::size_t vi = vb; vi < ve; ++vi) gates[vi].mark = 0;
-  }
-  epoch_ = 2;
 }
 
 }  // namespace dmatch::congest

@@ -12,129 +12,31 @@
 // count is fixed at construction by the scheduler (one task per worker
 // under static and rapid-start dispatch, several blocks per worker under
 // work-stealing), and each round runs as step phase -> barrier -> route
-// phase. Messages travel through port-indexed mailbox slots (one slot per
-// directed edge endpoint), so delivery is always in ascending port order
-// and no mutex sits on the hot path. Per-node hot state (registers, RNGs,
-// receive gates) lives in 64-byte-aligned per-shard SoA slabs, so shards
-// never share a cache line. Results — matchings, RunStats, every per-node
-// RNG draw — are bit-identical for any Options::num_threads and any
-// Options::sched mode.
+// phase. What a step does to a node is congest/kernel.hpp's; the Network
+// keeps the sharding, the dispatch, and the activity lanes that carry
+// deliveries between shards. Messages travel through port-indexed
+// mailbox slots (one slot per directed edge endpoint), so delivery is
+// always in ascending port order and no mutex sits on the hot path.
+// Per-node hot state (registers, RNGs, receive gates) lives in 64-byte-
+// aligned per-shard SoA slabs, so shards never share a cache line.
+// Results — matchings, RunStats, every per-node RNG draw — are
+// bit-identical for any Options::num_threads and any Options::sched mode.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "congest/fault.hpp"
+#include "congest/kernel.hpp"
 #include "congest/message.hpp"
 #include "congest/process.hpp"
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
 #include "obs/obs.hpp"
-#include "support/rng.hpp"
 #include "support/sched.hpp"
-#include "support/slab.hpp"
 
 namespace dmatch::congest {
-
-enum class Model { kCongest, kLocal };
-
-/// Thrown when a protocol sends a message exceeding the CONGEST cap.
-class MessageTooLarge : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-struct RunStats {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint32_t max_message_bits = 0;
-  bool completed = true;  // all nodes halted before the round budget ran out
-  /// Messages sent in each executed round (size == rounds); the per-round
-  /// histogram behind `messages`, so sum(round_messages) == messages.
-  std::vector<std::uint64_t> round_messages;
-
-  // Fault-injection counters (all zero unless the Network carries an
-  // active FaultPlan). Drops count messages lost in transit plus
-  // deliveries discarded because the receiver was dead.
-  std::uint64_t dropped_messages = 0;
-  std::uint64_t duplicated_messages = 0;
-  std::uint64_t delayed_messages = 0;
-  std::uint64_t reordered_inboxes = 0;
-  std::uint64_t crashed_nodes = 0;    // crash rounds inside this run
-  std::uint64_t restarted_nodes = 0;  // restart rounds inside this run
-
-  void merge(const RunStats& other) {
-    rounds += other.rounds;
-    messages += other.messages;
-    total_bits += other.total_bits;
-    max_message_bits = std::max(max_message_bits, other.max_message_bits);
-    completed = completed && other.completed;
-    round_messages.insert(round_messages.end(), other.round_messages.begin(),
-                          other.round_messages.end());
-    dropped_messages += other.dropped_messages;
-    duplicated_messages += other.duplicated_messages;
-    delayed_messages += other.delayed_messages;
-    reordered_inboxes += other.reordered_inboxes;
-    crashed_nodes += other.crashed_nodes;
-    restarted_nodes += other.restarted_nodes;
-  }
-
-  /// Element-wise aggregate of parallel shards of ONE run (the
-  /// multi-process engine's coordinator view): counts add, rounds and
-  /// the message cap take the max, completion ANDs, and round_messages
-  /// adds per round — so summing every rank's share reproduces the
-  /// single-process RunStats of the same run exactly. Contrast with
-  /// merge(), which composes *sequential* runs. Shards legitimately
-  /// report histograms of different lengths (a rank whose range quiesces
-  /// early executes fewer rounds), so mismatched round_messages sizes
-  /// merge by resize-to-longest, never by truncation — missing trailing
-  /// rounds count as zero messages. Locked by the
-  /// Counting.AccumulateMergesMismatchedHistograms regression test.
-  void accumulate(const RunStats& other) {
-    rounds = std::max(rounds, other.rounds);
-    messages += other.messages;
-    total_bits += other.total_bits;
-    max_message_bits = std::max(max_message_bits, other.max_message_bits);
-    completed = completed && other.completed;
-    if (round_messages.size() < other.round_messages.size()) {
-      round_messages.resize(other.round_messages.size(), 0);
-    }
-    for (std::size_t i = 0; i < other.round_messages.size(); ++i) {
-      round_messages[i] += other.round_messages[i];
-    }
-    dropped_messages += other.dropped_messages;
-    duplicated_messages += other.duplicated_messages;
-    delayed_messages += other.delayed_messages;
-    reordered_inboxes += other.reordered_inboxes;
-    crashed_nodes += other.crashed_nodes;
-    restarted_nodes += other.restarted_nodes;
-  }
-
-  /// Rounds after charging over-cap messages as pipelined chunks: a
-  /// round whose largest message used b bits counts as ceil(b / cap)
-  /// rounds. This is how DESIGN.md normalizes the token messages.
-  [[nodiscard]] std::uint64_t normalized_rounds(
-      std::uint32_t cap_bits) const noexcept {
-    if (cap_bits == 0 || max_message_bits <= cap_bits) return rounds;
-    const std::uint64_t factor =
-        (max_message_bits + cap_bits - 1) / cap_bits;
-    return rounds * factor;
-  }
-};
-
-/// Node-program factory. Returning nullptr *parks* the node for this
-/// run: it keeps its output register but holds no protocol state, is
-/// never scheduled, and silently discards anything addressed to it —
-/// the zero-allocation form of a process that is born halted. Drivers
-/// that re-run protocols on a small region of a large persistent
-/// network (src/dyn) park everything outside the region this way, so a
-/// multi-phase repair pays per-run cost proportional to the region.
-using ProcessFactory =
-    std::function<std::unique_ptr<Process>(NodeId, const Graph&)>;
 
 /// In-place self-healing of an explicit register image against an
 /// explicit dead-node mask: clears registers on dead nodes, registers
@@ -191,9 +93,9 @@ class Network {
           std::uint32_t congest_factor, Options options);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }
-  [[nodiscard]] Model model() const noexcept { return model_; }
+  [[nodiscard]] Model model() const noexcept { return k_.model; }
   [[nodiscard]] std::uint32_t message_cap_bits() const noexcept {
-    return cap_bits_;
+    return k_.cap_bits;
   }
   [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }
 
@@ -249,9 +151,7 @@ class Network {
   /// Raw output-register image (per-node mate ports, -1 = unmatched) in
   /// node order: a flat copy with no validation, the cheap capture side
   /// of StageCheckpoint (core/wrap_gain).
-  void copy_registers(std::vector<int>& out) const {
-    mate_port_.copy_to(out);
-  }
+  void copy_registers(std::vector<int>& out) const { k_.reg.copy_to(out); }
 
   /// Delta-restore the output registers to `image`: rewrite only the
   /// registers that drifted from it (dirty nodes), leaving every clean
@@ -269,18 +169,18 @@ class Network {
   [[nodiscard]] const FaultPlan& fault_plan() const noexcept {
     return options_.fault;
   }
-  [[nodiscard]] bool fault_active() const noexcept { return fault_active_; }
+  [[nodiscard]] bool fault_active() const noexcept { return k_.fault_active; }
 
   /// True if v is dead (crashed, not yet restarted) at the current
   /// lifetime round.
   [[nodiscard]] bool node_dead(NodeId v) const noexcept {
-    return fault_active_ && dead_at(v, lifetime_rounds_);
+    return k_.node_dead(v);
   }
 
   /// Rounds executed over this Network's whole lifetime (all runs).
   /// Crash schedules are expressed on this clock.
   [[nodiscard]] std::uint64_t lifetime_rounds() const noexcept {
-    return lifetime_rounds_;
+    return k_.lifetime_rounds;
   }
 
   [[nodiscard]] const RunStats& total_stats() const noexcept {
@@ -288,77 +188,21 @@ class Network {
   }
 
  private:
-  friend class NodeContext;
-
-  [[nodiscard]] bool dead_at(NodeId v, std::uint64_t round) const noexcept {
-    const auto vi = static_cast<std::size_t>(v);
-    return crash_at_[vi] <= round && round < restart_at_[vi];
-  }
-
   const Graph* g_;
-  Model model_;
-  std::uint32_t cap_bits_;
   unsigned num_threads_;
   unsigned num_shards_ = 1;
   Options options_;
-  // Per-node hot state as shard-indexed SoA slabs (support/slab.hpp):
-  // each shard's values sit in their own 64-byte-aligned segment, so the
-  // single-writer-per-shard discipline produces no false sharing.
-  support::ShardSlab<Rng> node_rng_;
-  support::ShardSlab<int> mate_port_;  // output registers; -1 = unmatched
+  // Routing tables, RNG streams, registers, mailboxes and crash schedule,
+  // laid out in num_shards_ slab segments; the round itself is
+  // kernel::State::step_node.
+  kernel::State k_;
   RunStats total_;
-
-  // Routing tables, built once: slot i = slot_offset_[v] + p addresses
-  // node v's port p. peer_slot_[i] is the slot of the same edge at the
-  // other endpoint; peer_node_[i] is that endpoint.
-  std::vector<std::size_t> slot_offset_;  // size n+1 (CSR offsets)
-  std::vector<std::uint32_t> peer_slot_;  // size 2m
-  std::vector<NodeId> peer_node_;         // size 2m
-
-  // Double-buffered port-indexed mailboxes. A slot holds a live message
-  // for the current round iff its stamp equals epoch_; epoch_ advances
-  // every round (and past both buffers at the end of every run), so the
-  // buffers never need clearing. Stamps are packed to 32 bits so the
-  // step phase's port scan walks half the memory of the old u64 stamps;
-  // epochs are renormalized long before wrap (see renormalize_epochs in
-  // network.cpp), so 32 bits never alias.
-  std::vector<Message> cur_msg_, nxt_msg_;  // size 2m each
-  std::vector<std::uint32_t, support::AlignedAlloc<std::uint32_t>> cur_stamp_,
-      nxt_stamp_;  // size 2m each
-  std::uint32_t epoch_ = 1;
-
-  // Per-node engine bookkeeping, single-writer (the owning shard's
-  // worker), packed so the route phase touches one 8-byte record per
-  // delivered node: mark == e means the node is already scheduled for
-  // the round with epoch e; rcv counts messages awaiting the node, which
-  // lets the inbox builder stop scanning ports early.
-  struct NodeGate {
-    std::uint32_t mark = 0;
-    std::uint32_t rcv = 0;
-  };
-  support::ShardSlab<NodeGate> gates_;
-
-  // Fault-injection state (all empty / inert without an active plan).
-  // Crash schedules are per-node lifetime-round intervals, precomputed
-  // at construction so every thread count sees the same failure history;
-  // restart_events_ is the same schedule sorted by restart round so the
-  // route phase can wake restarting nodes without scanning all n.
-  bool fault_active_ = false;
-  std::vector<std::uint64_t> crash_at_;    // kRoundNever = never crashes
-  std::vector<std::uint64_t> restart_at_;  // kRoundNever = stays dead
-  std::vector<std::pair<std::uint64_t, NodeId>> restart_events_;
-  std::vector<char> respawn_pending_;  // restart observed; recreate process
-  std::vector<char> restart_cleared_;  // register already reset for restart
-  std::uint64_t lifetime_rounds_ = 0;
-  std::uint64_t fault_nonce_ = 0;  // decorrelates fault draws across runs
 
   // Always present (a 1-worker scheduler spawns no OS threads); shared
   // by the round loop, the parallel table build, and the extraction
   // scans. num_shards_ is frozen from sched_->plan_tasks(n) at
   // construction so shard layout never depends on per-round scheduling.
   std::unique_ptr<support::Scheduler> sched_;
-
-  void renormalize_epochs();
 };
 
 }  // namespace dmatch::congest

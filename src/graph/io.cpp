@@ -22,11 +22,13 @@ Graph read_edge_list(std::istream& in) {
       continue;  // blank or comment
     }
     if (directive == "p") {
+      // One header per input. Its counts are claims to check against
+      // the edges actually read, never sizes to allocate up front.
+      DMATCH_EXPECTS(n < 0);
       std::string kind;
       DMATCH_EXPECTS(ss >> kind >> n >> m);
       DMATCH_EXPECTS(kind == "edge");
       DMATCH_EXPECTS(n >= 0 && m >= 0);
-      edges.reserve(static_cast<std::size_t>(m));
     } else if (directive == "e") {
       DMATCH_EXPECTS(n >= 0);  // "p" line must come first
       Edge e;

@@ -1,7 +1,6 @@
 #include "mp/engine.hpp"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "mp/frames.hpp"
@@ -16,24 +15,7 @@ using congest::FaultPlan;
 using congest::Message;
 using congest::ProcessFactory;
 using congest::RunStats;
-using congest::fault_detail::kSaltDelay;
-using congest::fault_detail::kSaltDelayAmount;
-using congest::fault_detail::kSaltDrop;
-using congest::fault_detail::kSaltDup;
-using congest::fault_detail::kSaltDupAmount;
-using congest::fault_detail::kSaltReorder;
-
-constexpr std::uint32_t kEpochRenorm = 0xFFFF0000u;
-
-/// A delayed/duplicated delivery parked for a later round; same
-/// canonical (node, port, origin_round) ordering key as the
-/// single-process engine's delay ring.
-struct ExtraMsg {
-  NodeId node;
-  int port;
-  int origin_round;
-  Message msg;
-};
+namespace kernel = congest::kernel;
 
 /// Deterministic digest of the fault plan's observable knobs, used by
 /// the HELLO config check so ranks with diverging plans fail fast.
@@ -57,82 +39,32 @@ std::uint64_t plan_digest(const FaultPlan& p) {
   return h;
 }
 
-/// Mirror of NodeContext in congest/network.cpp: same send-side
-/// accounting and the same per-message observability hook.
-class MpNodeContext final : public congest::Context {
- public:
-  MpNodeContext(const Graph& g, NodeId id, int round, Rng& rng, int& mate_port,
-                congest::Model model, std::uint32_t cap_bits,
-                std::vector<congest::Envelope>& outbox, RunStats& stats)
-      : g_(g),
-        id_(id),
-        round_(round),
-        rng_(rng),
-        mate_port_(mate_port),
-        model_(model),
-        cap_bits_(cap_bits),
-        outbox_(outbox),
-        stats_(stats) {}
-
-  [[nodiscard]] NodeId id() const override { return id_; }
-  [[nodiscard]] int degree() const override { return g_.degree(id_); }
-  [[nodiscard]] NodeId neighbor_id(int port) const override {
-    return g_.neighbor(id_, port);
-  }
-  [[nodiscard]] Weight edge_weight(int port) const override {
-    return g_.weight(g_.incident_edges(id_)[static_cast<std::size_t>(port)]);
-  }
-  [[nodiscard]] NodeId n_bound() const override { return g_.node_count(); }
-  [[nodiscard]] int round() const override { return round_; }
-  Rng& rng() override { return rng_; }
-
-  void send(int port, Message msg) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    if (model_ == congest::Model::kCongest && msg.bits > cap_bits_) {
-      throw congest::MessageTooLarge(
-          "message of " + std::to_string(msg.bits) +
-          " bits exceeds CONGEST cap of " + std::to_string(cap_bits_) +
-          " bits");
+/// What `now` adds to `sent`, metric by metric: counters and histograms
+/// subtract, max-gauges resend their value (a max is idempotent). A
+/// worker ships each run's share of its registry exactly once, even
+/// when its engine runs again.
+[[maybe_unused]] std::vector<obs::MetricsRegistry::Merged> metrics_delta(
+    std::vector<obs::MetricsRegistry::Merged> now,
+    const std::vector<obs::MetricsRegistry::Merged>& sent) {
+  std::size_t j = 0;
+  for (obs::MetricsRegistry::Merged& e : now) {
+    // Both exports are sorted by name.
+    while (j < sent.size() && sent[j].name < e.name) ++j;
+    if (j == sent.size() || sent[j].name != e.name) continue;
+    const obs::MetricsRegistry::Merged& old = sent[j];
+    if (e.kind == obs::MetricKind::kCounter) {
+      e.value -= old.value;
+    } else if (e.kind == obs::MetricKind::kHistogramLog2) {
+      e.count -= old.count;
+      e.sum -= old.sum;
+      for (std::size_t b = 0; b < e.buckets.size() && b < old.buckets.size();
+           ++b) {
+        e.buckets[b] -= old.buckets[b];
+      }
     }
-    ++stats_.messages;
-    stats_.total_bits += msg.bits;
-    stats_.max_message_bits = std::max(stats_.max_message_bits, msg.bits);
-    DMATCH_OBS(if (obs_ != nullptr) {
-      obs_->link_message(obs_base_ + static_cast<std::size_t>(port), msg.bits);
-    })
-    outbox_.push_back({port, std::move(msg)});
   }
-
-  [[nodiscard]] int mate_port() const override { return mate_port_; }
-  void set_mate_port(int port) override {
-    DMATCH_EXPECTS(port >= 0 && port < degree());
-    mate_port_ = port;
-  }
-  void clear_mate() override { mate_port_ = -1; }
-
-#ifndef DMATCH_OBS_DISABLED
-  [[nodiscard]] obs::ShardObs* obs() noexcept override { return obs_; }
-  void attach_obs(obs::ShardObs* o, std::size_t base_slot) noexcept {
-    obs_ = o;
-    obs_base_ = base_slot;
-  }
-#endif
-
- private:
-#ifndef DMATCH_OBS_DISABLED
-  obs::ShardObs* obs_ = nullptr;
-  std::size_t obs_base_ = 0;
-#endif
-  const Graph& g_;
-  NodeId id_;
-  int round_;
-  Rng& rng_;
-  int& mate_port_;
-  congest::Model model_;
-  std::uint32_t cap_bits_;
-  std::vector<congest::Envelope>& outbox_;
-  RunStats& stats_;
-};
+  return now;
+}
 
 }  // namespace
 
@@ -141,116 +73,41 @@ class MpNodeContext final : public congest::Context {
 // ---------------------------------------------------------------------
 
 struct MpEngine::Impl {
-  struct Gate {
-    std::uint32_t mark = 0;
-    std::uint32_t rcv = 0;
-  };
-
-  // Global routing tables (every rank builds the full O(m) tables; the
-  // graph itself is shared, and global slot ids are what keep the fault
-  // hashes identical to the single-process engine).
-  std::vector<std::size_t> slot_offset;   // n + 1
-  std::vector<std::uint32_t> peer_slot;   // 2m
-  std::vector<NodeId> peer_node;          // 2m
-
-  // Per-node state; only the owned range [lo, hi) is ever touched, the
-  // rest stays at its initial value.
-  std::vector<Rng> rng;
-  std::vector<int> reg;
-  std::vector<Gate> gates;
-  std::vector<Message> cur_msg, nxt_msg;
-  std::vector<std::uint32_t> cur_stamp, nxt_stamp;
-  std::uint32_t epoch = 1;
-
-  bool fault_active = false;
-  std::vector<std::uint64_t> crash_at, restart_at;
-  std::vector<std::pair<std::uint64_t, NodeId>> restart_events;  // owned only
-  std::vector<char> respawn_pending, restart_cleared;
-  std::uint64_t lifetime_rounds = 0;
-  std::uint64_t fault_nonce = 0;
+  // Every rank builds the full O(m) routing tables in a one-segment
+  // layout (the graph itself is shared, and global slot ids are what keep
+  // the fault hashes identical to the single-process engine); only the
+  // owned range's per-node state is ever touched.
+  kernel::State k;
 
   // Rank-0 rejoin support: last checkpointed register image per rank and
   // how many times each rank rejoined (advances its fault nonce).
   std::vector<std::vector<int>> checkpoints;
   std::vector<std::uint64_t> rejoins;
 
-  void invalidate() {
-    epoch += 2;
-    std::fill(gates.begin(), gates.end(), Gate{});
-  }
+  // The registry export this rank already shipped to rank 0.
+  std::vector<obs::MetricsRegistry::Merged> exported;
 };
 
 MpEngine::MpEngine(const Graph& g, congest::Model model, std::uint64_t seed,
                    std::uint32_t congest_factor, Transport& transport,
                    MpOptions options)
     : g_(&g),
-      model_(model),
       seed_(seed),
       options_(std::move(options)),
       group_(transport, options_.group),
       impl_(std::make_unique<Impl>()) {
   const auto n = static_cast<std::size_t>(g.node_count());
-  unsigned log_n = 1;
-  while ((NodeId{1} << log_n) < g.node_count()) ++log_n;
-  cap_bits_ = congest_factor * std::max(log_n, 4u);
-
   const auto [lo, hi] =
       support::balanced_range(n, group_.size(), group_.rank());
   lo_ = static_cast<NodeId>(lo);
   hi_ = static_cast<NodeId>(hi);
 
   Impl& im = *impl_;
-  im.slot_offset.assign(n + 1, 0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    im.slot_offset[static_cast<std::size_t>(v) + 1] =
-        im.slot_offset[static_cast<std::size_t>(v)] +
-        static_cast<std::size_t>(g.degree(v));
-  }
-  const std::size_t slots = im.slot_offset[n];
-  im.peer_slot.resize(slots);
-  im.peer_node.resize(slots);
-  const Rng root(seed);
-  im.rng.assign(n, Rng(0));
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    im.rng[vi] = root.fork(static_cast<std::uint64_t>(v));
-    const auto edges = g.incident_edges(v);
-    for (std::size_t p = 0; p < edges.size(); ++p) {
-      const EdgeId e = edges[p];
-      const NodeId u = g.other_endpoint(e, v);
-      const std::size_t i = im.slot_offset[vi] + p;
-      im.peer_node[i] = u;
-      im.peer_slot[i] = static_cast<std::uint32_t>(
-          im.slot_offset[static_cast<std::size_t>(u)] +
-          static_cast<std::size_t>(g.port_of_edge(u, e)));
-    }
-  }
-  im.reg.assign(n, -1);
-  im.gates.assign(n, Impl::Gate{});
-  im.cur_msg.resize(slots);
-  im.nxt_msg.resize(slots);
-  im.cur_stamp.assign(slots, 0);
-  im.nxt_stamp.assign(slots, 0);
-
-  im.fault_active = options_.fault.any();
-  im.fault_nonce = options_.fault_nonce;
-  if (im.fault_active) {
-    congest::fault_detail::CrashSchedule sched =
-        congest::fault_detail::compute_crash_schedule(options_.fault,
-                                                      g.node_count());
-    im.crash_at = std::move(sched.crash_at);
-    im.restart_at = std::move(sched.restart_at);
-    for (NodeId v = lo_; v < hi_; ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (im.crash_at[vi] != congest::kRoundNever &&
-          im.restart_at[vi] != congest::kRoundNever) {
-        im.restart_events.emplace_back(im.restart_at[vi], v);
-      }
-    }
-    std::sort(im.restart_events.begin(), im.restart_events.end());
-    im.respawn_pending.assign(n, 0);
-    im.restart_cleared.assign(n, 0);
-  }
+  im.k.init(g, model, congest_factor, 1);
+  cap_bits_ = im.k.cap_bits;
+  im.k.build_routes(Rng(seed), 0);
+  im.k.init_faults(options_.fault);
+  im.k.fault_nonce = options_.fault_nonce;
   im.checkpoints.resize(group_.size());
   im.rejoins.assign(group_.size(), 0);
 }
@@ -272,7 +129,14 @@ MpResult MpEngine::run(const ProcessFactory& factory, int max_rounds) {
     std::vector<std::uint8_t> buf;
     for (unsigned p = 0; p < procs; ++p) {
       if (p == me || !group_.alive(p)) continue;
-      if (!group_.recv_or_declare_dead(p, buf)) continue;
+      // Frames an earlier run left queued (an aborted round's duplicate
+      // ABORT) precede the peer's HELLO on its FIFO link: drain them.
+      bool stale = true;
+      while (stale && group_.recv_or_declare_dead(p, buf)) {
+        const auto head = peek_header(buf);
+        stale = head && head->kind != FrameKind::kHello;
+      }
+      if (stale) continue;  // the peer died
       const auto h = decode_hello(buf);
       if (!h || h->n != hello.n || h->seed != hello.seed ||
           h->cap_bits != hello.cap_bits ||
@@ -314,12 +178,12 @@ MpResult MpEngine::rejoin_and_run(const ProcessFactory& factory,
     if (resume.rank_dead[p] != 0 && p != me) group_.mark_dead(p);
   }
   // Restore the checkpointed registers for our owned range.
-  Impl& im = *impl_;
+  kernel::State& k = impl_->k;
   for (std::size_t i = 0; i < resume.registers.size(); ++i) {
     const std::size_t vi = static_cast<std::size_t>(resume.reg_lo) + i;
-    if (vi < im.reg.size()) im.reg[vi] = resume.registers[i];
+    if (vi < k.reg.count()) k.reg.at(vi) = resume.registers[i];
   }
-  im.fault_nonce = resume.nonce;  // advancing-nonce replay discipline
+  k.fault_nonce = resume.nonce;  // advancing-nonce replay discipline
   return run_rounds(factory, max_rounds, &resume);
 }
 
@@ -328,98 +192,90 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
   const Graph& g = *g_;
   const auto n = static_cast<std::size_t>(g.node_count());
   Impl& im = *impl_;
+  kernel::State& k = im.k;
   const unsigned me = group_.rank();
   const unsigned procs = group_.size();
   const auto rank_of = [n, procs](NodeId v) {
     return support::balanced_part_of(n, procs, static_cast<std::size_t>(v));
   };
 
-  const bool faults = im.fault_active;
-  const FaultPlan& plan = options_.fault;
-  const std::uint64_t base_round = im.lifetime_rounds;
-  const std::uint64_t fseed =
-      faults ? congest::fault_detail::run_seed(plan.seed, im.fault_nonce++)
-             : 0;
-  const int max_d = faults ? std::max(1, plan.max_delay) : 0;
-  const int delay_window = faults ? max_d + 2 : 0;
+  const kernel::RunFrame rf = k.begin_run(options_.fault);
+  const bool faults = rf.faults();
   const std::uint32_t decode_cap =
-      model_ == congest::Model::kCongest ? cap_bits_ : (1u << 20);
+      k.model == congest::Model::kCongest ? cap_bits_ : (1u << 20);
+  const int start_round = resume != nullptr ? static_cast<int>(resume->round)
+                                            : 0;
 
-  if (im.epoch >= kEpochRenorm) {
-    std::fill(im.cur_stamp.begin(), im.cur_stamp.end(), 0);
-    std::fill(im.nxt_stamp.begin(), im.nxt_stamp.end(), 0);
-    im.epoch = 1;
-  }
-
-  const auto dead_at = [&im](NodeId v, std::uint64_t round) {
-    const auto vi = static_cast<std::size_t>(v);
-    return im.crash_at[vi] <= round && round < im.restart_at[vi];
-  };
-
-  // Delay ring for owned nodes + transient round state.
-  std::vector<std::vector<ExtraMsg>> ring(
-      static_cast<std::size_t>(delay_window));
-  std::uint64_t pending_extras = 0;
-  std::vector<NodeId> active, next_active;
-  std::vector<NodeId> local_lane;       // owned receivers woken by own sends
-  std::vector<ExtraMsg> local_extras;   // parked deliveries for owned nodes
-  std::vector<int> extra_deliver;       // deliver rounds, parallel to above
+  // The owned range is this rank's one shard; transient round state.
+  kernel::ShardRun sh;
+  k.bind(sh, 0, rf);
+  std::vector<NodeId> local_lane;              // owned receivers woken
+  std::vector<kernel::LateMsg> local_extras;   // parked for owned nodes
   std::vector<std::vector<WireMsg>> batch(procs);  // per-peer flush buffers
-  std::vector<congest::Envelope> inbox, outbox;
+  std::vector<RoundFrame> remote;              // this round's peer frames
+
+  // Deliveries of the owned nodes: to an owned receiver straight into its
+  // port slot or delay ring, to a peer's receiver into that peer's batch.
+  struct RankSink {
+    kernel::State& k;
+    unsigned me;
+    int round;
+    const decltype(rank_of)& owner;
+    std::vector<NodeId>& local_lane;
+    std::vector<kernel::LateMsg>& local_extras;
+    std::vector<std::vector<WireMsg>>& batch;
+    void deliver(NodeId u, std::size_t in_slot, Message&& msg) {
+      const unsigned tr = owner(u);
+      if (tr == me) {
+        k.post(in_slot, std::move(msg));
+        local_lane.push_back(u);
+        return;
+      }
+      const int rport = static_cast<int>(
+          in_slot - k.slot_offset[static_cast<std::size_t>(u)]);
+      batch[tr].push_back({u, rport, round + 1, round, std::move(msg)});
+    }
+    void park(kernel::LateMsg&& m) {
+      const unsigned tr = owner(m.extra.node);
+      if (tr == me) {
+        local_extras.push_back(std::move(m));
+        return;
+      }
+      batch[tr].push_back({m.extra.node, m.extra.port, m.deliver_round,
+                           m.extra.origin_round, std::move(m.extra.msg)});
+    }
+  };
 
   // Processes for the owned range.
   std::vector<std::unique_ptr<congest::Process>> procs_vec(n);
-  for (NodeId v = lo_; v < hi_; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (faults) {
-      im.respawn_pending[vi] = 0;
-      if (im.restart_at[vi] <= base_round && !im.restart_cleared[vi]) {
-        im.reg[vi] = -1;
-        im.restart_cleared[vi] = 1;
-      }
-    }
-    procs_vec[vi] = factory(v, g);
-    DMATCH_ENSURES(procs_vec[vi] != nullptr);
-    if (!procs_vec[vi]->halted() &&
-        !(faults && dead_at(v, base_round + (resume != nullptr
-                                                 ? resume->round
-                                                 : 0u)))) {
-      active.push_back(v);
-    }
-  }
+  k.spawn(sh, rf, lo_, hi_, factory, procs_vec, rf.life_round(start_round));
 
-  RunStats stats;
   std::uint64_t routed_before = 0;
   std::uint64_t bits_before = 0;
 
-#ifndef DMATCH_OBS_DISABLED
-  obs::Observer* const observer = options_.observer;
-  if (observer != nullptr) {
-    observer->begin_run(1, g);
+  obs::Observer* observer = nullptr;
+  bool profiled = false;
+  [[maybe_unused]] obs::ShardObs* sobs = nullptr;
+  [[maybe_unused]] std::uint64_t run_start_clock = 0;
+  DMATCH_OBS(observer = options_.observer;)
+  DMATCH_OBS(if (observer != nullptr) {
+    profiled = observer->begin_run(1, g);
     if (resume != nullptr) observer->advance_clock(resume->round);
-  }
-  obs::ShardObs* const sobs =
-      observer != nullptr ? observer->shard(0) : nullptr;
-  const std::uint64_t run_start_clock =
-      observer != nullptr ? observer->clock() -
-                                (resume != nullptr ? resume->round : 0u)
-                          : 0;
-  std::vector<std::vector<std::uint64_t>> obs_slab_snap;
-  obs::TraceSink::Mark obs_trace_mark;
-#endif
+    sobs = observer->shard(0);
+    sh.obs = sobs;
+    run_start_clock =
+        observer->clock() - static_cast<std::uint64_t>(start_round);
+  })
 
   // --- quiescence counts for the first round ---------------------------
-  std::uint64_t global_scheduled = active.size();
-  std::uint64_t global_work = active.size();
-  const int start_round = resume != nullptr ? static_cast<int>(resume->round)
-                                            : 0;
+  std::uint64_t global_scheduled = sh.active.size();
+  std::uint64_t global_work = sh.active.size();
   if (resume != nullptr) {
     // The rejoiner forces at least one more global round; counts
     // resynchronize at its first COUNT exchange.
     global_work = std::max<std::uint64_t>(global_work, 1);
-    global_scheduled = active.size();
   } else if (procs > 1) {
-    CountFrame c0{me, 0, active.size(), 0, 0, 0, kNoRank};
+    CountFrame c0{me, 0, sh.active.size(), 0, 0, 0, kNoRank};
     group_.broadcast(encode_count(c0));
     std::vector<std::uint8_t> buf;
     for (unsigned p = 0; p < procs; ++p) {
@@ -441,209 +297,35 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
   bool tripped = false;
   bool quiesced = false;
   int executed = start_round;
-  std::vector<int> reg_snapshot;
+  kernel::RoundRollback rollback;
   int pending_rejoin = -1;  // rank 0: rank admitted for the next round
 
   int r = start_round;
   for (; r < max_rounds; ++r) {
     if (options_.die_at_round >= 0 && r >= options_.die_at_round) {
       result.simulated_death = true;
-      im.invalidate();
-      im.lifetime_rounds = base_round + static_cast<std::uint64_t>(r);
+      k.end_run(rf, r);
       result.rounds_executed = r;
       return result;
     }
     quiesced = global_work == 0;
     if (quiesced) break;
+    k.renormalize_if_due();
 
-#ifndef DMATCH_OBS_DISABLED
-    if (observer != nullptr) {
-      sobs->now = observer->clock();
-      if (faults) {
-        obs_slab_snap = observer->metrics().snapshot();
-        obs_trace_mark = observer->trace_sink().mark(0);
-      }
-      if (me == 0) {
-        sobs->trace(obs::EventType::kRoundStart, 0, global_scheduled);
-      }
-    }
-#endif
-    if (faults) reg_snapshot = im.reg;
+    DMATCH_OBS(if (observer != nullptr) sobs->now = observer->clock();)
+    if (faults) rollback.capture(k, observer, 1, profiled);
+    DMATCH_OBS(if (observer != nullptr && me == 0) {
+      sobs->trace(obs::EventType::kRoundStart, 0, global_scheduled);
+    })
 
     // --- step phase: run owned active nodes ---------------------------
     bool abort_local = false;
     local_lane.clear();
     local_extras.clear();
-    extra_deliver.clear();
-    const std::uint32_t next_epoch = im.epoch + 1;
-    const std::uint64_t life_round =
-        base_round + static_cast<std::uint64_t>(r);
+    RankSink sink{k, me, r, rank_of, local_lane, local_extras, batch};
     try {
-      for (const NodeId v : active) {
-        const auto vi = static_cast<std::size_t>(v);
-        const std::size_t base = im.slot_offset[vi];
-
-        if (faults) {
-          if (dead_at(v, life_round)) {
-            stats.dropped_messages += im.gates[vi].rcv;
-            im.gates[vi].rcv = 0;
-            const auto& bucket =
-                ring[static_cast<std::size_t>(r % delay_window)];
-            auto it = std::lower_bound(
-                bucket.begin(), bucket.end(), v,
-                [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-            for (; it != bucket.end() && it->node == v; ++it) {
-              ++stats.dropped_messages;
-            }
-            continue;
-          }
-          if (im.respawn_pending[vi]) {
-            im.respawn_pending[vi] = 0;
-            im.restart_cleared[vi] = 1;
-            im.reg[vi] = -1;
-            procs_vec[vi] = factory(v, g);
-            DMATCH_ENSURES(procs_vec[vi] != nullptr);
-          }
-        }
-
-        inbox.clear();
-        std::uint32_t remaining = im.gates[vi].rcv;
-        im.gates[vi].rcv = 0;
-        const std::size_t slot_end = im.slot_offset[vi + 1];
-        for (std::size_t slot = base; remaining > 0 && slot < slot_end;
-             ++slot) {
-          if (im.cur_stamp[slot] == im.epoch) {
-            inbox.push_back({static_cast<int>(slot - base),
-                             std::move(im.cur_msg[slot])});
-            --remaining;
-          }
-        }
-        DMATCH_ASSERT(remaining == 0);
-
-        if (faults) {
-          auto& bucket = ring[static_cast<std::size_t>(r % delay_window)];
-          auto it = std::lower_bound(
-              bucket.begin(), bucket.end(), v,
-              [](const ExtraMsg& e, NodeId node) { return e.node < node; });
-          for (; it != bucket.end() && it->node == v; ++it) {
-            inbox.push_back({it->port, std::move(it->msg)});
-          }
-        }
-
-        if (procs_vec[vi]->halted() && inbox.empty()) continue;
-
-        if (faults && plan.reorder_prob > 0 && inbox.size() > 1) {
-          const std::uint64_t h = congest::fault_detail::mix(
-              fseed, kSaltReorder, life_round, static_cast<std::uint64_t>(v));
-          if (congest::fault_detail::to_unit(h) < plan.reorder_prob) {
-            std::uint64_t state = h;
-            for (std::size_t i = inbox.size() - 1; i > 0; --i) {
-              const auto j =
-                  static_cast<std::size_t>(splitmix64(state) % (i + 1));
-              std::swap(inbox[i], inbox[j]);
-            }
-            ++stats.reordered_inboxes;
-            DMATCH_OBS(if (sobs != nullptr) {
-              sobs->trace(obs::EventType::kFaultReorder,
-                          static_cast<std::uint32_t>(v));
-            })
-          }
-        }
-
-        outbox.clear();
-        MpNodeContext ctx(g, v, r, im.rng[vi], im.reg[vi], model_, cap_bits_,
-                          outbox, stats);
-        DMATCH_OBS(ctx.attach_obs(sobs, base);)
-        procs_vec[vi]->on_round(ctx, inbox);
-
-        for (congest::Envelope& env : outbox) {
-          const std::size_t out_slot =
-              base + static_cast<std::size_t>(env.port);
-          const std::size_t in_slot = im.peer_slot[out_slot];
-          const NodeId u = im.peer_node[out_slot];
-          if (faults) {
-            const std::uint64_t h =
-                congest::fault_detail::mix(fseed, life_round, in_slot, 0);
-            if (plan.drop_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDrop, 0, 0)) <
-                    plan.drop_prob) {
-              ++stats.dropped_messages;
-              DMATCH_OBS(if (sobs != nullptr) {
-                sobs->trace(obs::EventType::kFaultDrop,
-                            static_cast<std::uint32_t>(u), in_slot);
-              })
-              continue;
-            }
-            const bool dup =
-                plan.duplicate_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDup, 0, 0)) <
-                    plan.duplicate_prob;
-            const bool late =
-                plan.delay_prob > 0 &&
-                congest::fault_detail::to_unit(
-                    congest::fault_detail::mix(h, kSaltDelay, 0, 0)) <
-                    plan.delay_prob;
-            if (dup || late) {
-              const int rport = static_cast<int>(
-                  in_slot - im.slot_offset[static_cast<std::size_t>(u)]);
-              if (dup) {
-                const int d = congest::fault_detail::delay_amount(
-                    congest::fault_detail::mix(h, kSaltDupAmount, 0, 0),
-                    plan);
-                ++stats.duplicated_messages;
-                DMATCH_OBS(if (sobs != nullptr) {
-                  sobs->trace(obs::EventType::kFaultDuplicate,
-                              static_cast<std::uint32_t>(u), in_slot,
-                              static_cast<std::uint64_t>(d));
-                })
-                const unsigned tr = rank_of(u);
-                if (tr == me) {
-                  local_extras.push_back({u, rport, r, env.msg});
-                  extra_deliver.push_back(r + 1 + d);
-                } else {
-                  batch[tr].push_back({u, rport, r + 1 + d, r, env.msg});
-                }
-              }
-              if (late) {
-                const int d = congest::fault_detail::delay_amount(
-                    congest::fault_detail::mix(h, kSaltDelayAmount, 0, 0),
-                    plan);
-                ++stats.delayed_messages;
-                DMATCH_OBS(if (sobs != nullptr) {
-                  sobs->trace(obs::EventType::kFaultDelay,
-                              static_cast<std::uint32_t>(u), in_slot,
-                              static_cast<std::uint64_t>(d));
-                })
-                const unsigned tr = rank_of(u);
-                if (tr == me) {
-                  local_extras.push_back({u, rport, r, std::move(env.msg)});
-                  extra_deliver.push_back(r + 1 + d);
-                } else {
-                  batch[tr].push_back(
-                      {u, rport, r + 1 + d, r, std::move(env.msg)});
-                }
-                continue;
-              }
-            }
-          }
-          const unsigned tr = rank_of(u);
-          if (tr == me) {
-            DMATCH_EXPECTS(im.nxt_stamp[in_slot] != next_epoch);
-            im.nxt_msg[in_slot] = std::move(env.msg);
-            im.nxt_stamp[in_slot] = next_epoch;
-            local_lane.push_back(u);
-          } else {
-            const int rport = static_cast<int>(
-                in_slot - im.slot_offset[static_cast<std::size_t>(u)]);
-            batch[tr].push_back({u, rport, r + 1, r, std::move(env.msg)});
-          }
-        }
-        if (!procs_vec[vi]->halted()) {
-          next_active.push_back(v);
-          im.gates[vi].mark = next_epoch;
-        }
+      for (const NodeId v : sh.active) {
+        k.step_node(sh, rf, r, v, procs_vec, factory, sink);
       }
     } catch (...) {
       abort_local = true;
@@ -659,7 +341,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
         if (!group_.alive(p)) {
           // Messages addressed to a dead rank's nodes are lost in
           // transit; account them like in-flight drops.
-          stats.dropped_messages += batch[p].size();
+          sh.stats.dropped_messages += batch[p].size();
           batch[p].clear();
           continue;
         }
@@ -674,7 +356,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
 
     // --- collect phase: one ROUND frame from each alive peer -----------
     bool abort_remote = false;
-    std::vector<RoundFrame> remote;
+    remote.clear();
     if (procs > 1) {
       std::vector<std::uint8_t> buf;
       for (unsigned p = 0; p < procs; ++p) {
@@ -713,78 +395,29 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     bool abort_route = false;
     if (!abort_local && !abort_remote) {
       try {
-        for (const NodeId u : local_lane) {
-          const auto ui = static_cast<std::size_t>(u);
-          ++im.gates[ui].rcv;
-          if (im.gates[ui].mark != next_epoch) {
-            im.gates[ui].mark = next_epoch;
-            next_active.push_back(u);
-          }
-        }
+        for (const NodeId u : local_lane) k.wake(sh, u);
         for (RoundFrame& f : remote) {
           for (WireMsg& m : f.msgs) {
             DMATCH_EXPECTS(rank_of(m.dst) == me);
             if (m.deliver_round == r + 1) {
-              const std::size_t in_slot =
-                  im.slot_offset[static_cast<std::size_t>(m.dst)] +
-                  static_cast<std::size_t>(m.port);
-              DMATCH_EXPECTS(im.nxt_stamp[in_slot] != next_epoch);
-              im.nxt_msg[in_slot] = std::move(m.msg);
-              im.nxt_stamp[in_slot] = next_epoch;
-              const auto ui = static_cast<std::size_t>(m.dst);
-              ++im.gates[ui].rcv;
-              if (im.gates[ui].mark != next_epoch) {
-                im.gates[ui].mark = next_epoch;
-                next_active.push_back(m.dst);
-              }
+              k.post(k.slot_offset[static_cast<std::size_t>(m.dst)] +
+                         static_cast<std::size_t>(m.port),
+                     std::move(m.msg));
+              k.wake(sh, m.dst);
             } else {
               DMATCH_EXPECTS(faults && m.deliver_round > r + 1);
-              ring[static_cast<std::size_t>(m.deliver_round % delay_window)]
-                  .push_back(
-                      {m.dst, m.port, m.origin_round, std::move(m.msg)});
-              ++pending_extras;
+              kernel::State::park(
+                  sh, rf,
+                  {m.deliver_round,
+                   {m.dst, m.port, m.origin_round, std::move(m.msg)}});
             }
           }
         }
         if (faults) {
-          for (std::size_t i = 0; i < local_extras.size(); ++i) {
-            ring[static_cast<std::size_t>(extra_deliver[i] % delay_window)]
-                .push_back(std::move(local_extras[i]));
-            ++pending_extras;
+          for (kernel::LateMsg& m : local_extras) {
+            kernel::State::park(sh, rf, std::move(m));
           }
-          auto& done_bucket = ring[static_cast<std::size_t>(r % delay_window)];
-          pending_extras -= done_bucket.size();
-          done_bucket.clear();
-          auto& next_bucket =
-              ring[static_cast<std::size_t>((r + 1) % delay_window)];
-          std::sort(next_bucket.begin(), next_bucket.end(),
-                    [](const ExtraMsg& a, const ExtraMsg& b) {
-                      return std::tie(a.node, a.port, a.origin_round) <
-                             std::tie(b.node, b.port, b.origin_round);
-                    });
-          for (const ExtraMsg& e : next_bucket) {
-            const auto ui = static_cast<std::size_t>(e.node);
-            if (im.gates[ui].mark != next_epoch) {
-              im.gates[ui].mark = next_epoch;
-              next_active.push_back(e.node);
-            }
-          }
-          const std::uint64_t wake =
-              base_round + static_cast<std::uint64_t>(r) + 1;
-          auto lo_it = std::lower_bound(im.restart_events.begin(),
-                                        im.restart_events.end(),
-                                        std::make_pair(wake, NodeId{0}));
-          for (; lo_it != im.restart_events.end() && lo_it->first == wake;
-               ++lo_it) {
-            const NodeId u = lo_it->second;
-            const auto ui = static_cast<std::size_t>(u);
-            im.respawn_pending[ui] = 1;
-            ++stats.restarted_nodes;
-            if (im.gates[ui].mark != next_epoch) {
-              im.gates[ui].mark = next_epoch;
-              next_active.push_back(u);
-            }
-          }
+          k.finish_route(sh, rf, r, lo_, hi_);
         }
       } catch (...) {
         abort_route = true;
@@ -793,12 +426,12 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
     }
 
     // --- commit or abort ----------------------------------------------
-    const std::uint64_t own_sent = stats.messages - routed_before;
-    const std::uint64_t own_bits = stats.total_bits - bits_before;
+    const std::uint64_t own_sent = sh.stats.messages - routed_before;
+    const std::uint64_t own_bits = sh.stats.total_bits - bits_before;
 
     bool abort_count = false;
-    std::uint64_t sum_active = next_active.size();
-    std::uint64_t sum_extras = pending_extras;
+    std::uint64_t sum_active = sh.next_active.size();
+    std::uint64_t sum_extras = sh.pending_extras;
     std::uint64_t sum_msgs = own_sent;
     std::uint64_t sum_bits = own_bits;
     bool force_min_work = false;
@@ -824,8 +457,8 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
       const int admit_rank = me == 0 ? pending_rejoin : -1;
       CountFrame c{me,
                    static_cast<std::uint32_t>(r + 1),
-                   next_active.size(),
-                   pending_extras,
+                   sh.next_active.size(),
+                   sh.pending_extras,
                    own_sent,
                    own_bits,
                    admit_rank >= 0 ? static_cast<unsigned>(admit_rank)
@@ -836,8 +469,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
           (r + 1) % options_.checkpoint_every == 0;
       if (me != 0 && checkpoint_due && group_.alive(0)) {
         CheckpointFrame cf{me, static_cast<std::uint32_t>(r + 1), lo_,
-                           std::vector<int>(im.reg.begin() + lo_,
-                                            im.reg.begin() + hi_)};
+                           std::vector<int>(sh.regs + lo_, sh.regs + hi_)};
         group_.send_to(0, encode_checkpoint(cf));
       }
       std::vector<std::uint8_t> buf;
@@ -925,69 +557,42 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
         // discarded as stale frames).
         group_.broadcast(encode_abort(me, rnd));
       }
-      if (faults && !reg_snapshot.empty()) im.reg = reg_snapshot;
-#ifndef DMATCH_OBS_DISABLED
-      if (observer != nullptr && faults) {
-        observer->metrics().restore(obs_slab_snap);
-        observer->trace_sink().rewind(0, std::move(obs_trace_mark));
-      }
-#endif
-      im.invalidate();
+      if (faults) rollback.restore(k, observer, 1, profiled);
       tripped = true;
       executed = r;
       break;
     }
 
-    stats.round_messages.push_back(own_sent);
-    ++stats.rounds;
-    routed_before = stats.messages;
-    bits_before = stats.total_bits;
+    sh.stats.round_messages.push_back(own_sent);
+    ++sh.stats.rounds;
+    routed_before = sh.stats.messages;
+    bits_before = sh.stats.total_bits;
     global_scheduled = sum_active;
     global_work = sum_active + sum_extras;
     if (force_min_work) {
       global_work = std::max<std::uint64_t>(global_work, 1);
     }
 
-#ifndef DMATCH_OBS_DISABLED
-    if (observer != nullptr) {
-      if (me == 0) {
-        sobs->trace(obs::EventType::kRoundEnd, 0, sum_msgs, sum_bits);
-        sobs->observe(sobs->ids().engine_round_messages_hist, sum_msgs);
-        sobs->bits_hist_totals(sum_msgs, sum_bits);
-        observer->profiler().round_end(sum_msgs, sum_bits);
-      }
+    DMATCH_OBS(if (observer != nullptr) {
+      if (me == 0) kernel::record_round_end(*observer, *sobs, sum_msgs, sum_bits);
       observer->advance_clock();
-    }
-#endif
+    })
 
-    std::swap(im.cur_msg, im.nxt_msg);
-    std::swap(im.cur_stamp, im.nxt_stamp);
-    ++im.epoch;
-    std::swap(active, next_active);
-    next_active.clear();
+    k.advance_round();
+    std::swap(sh.active, sh.next_active);
+    sh.next_active.clear();
     executed = r + 1;
   }
 
   if (!tripped) {
     if (!quiesced) quiesced = global_work == 0;
-    stats.completed = quiesced;
-    if (faults) {
-      stats.dropped_messages += pending_extras;
-      const std::uint64_t end_round =
-          base_round + static_cast<std::uint64_t>(executed);
-      for (NodeId v = lo_; v < hi_; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (im.crash_at[vi] >= base_round && im.crash_at[vi] < end_round) {
-          ++stats.crashed_nodes;
-        }
-      }
-    }
-    im.invalidate();
+    sh.stats.completed = quiesced;
+    k.close_run(sh, rf, executed, lo_, hi_);
   }
-  im.lifetime_rounds = base_round + static_cast<std::uint64_t>(executed);
+  k.end_run(rf, executed);
 
   // --- result phase ----------------------------------------------------
-  RunStats out_stats = tripped ? RunStats{} : stats;
+  RunStats out_stats = tripped ? RunStats{} : sh.stats;
   if (tripped) out_stats.completed = false;
   result.tripped = tripped;
   result.rounds_executed = executed;
@@ -999,10 +604,13 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
       f.tripped = tripped;
       f.stats = out_stats;
       f.reg_lo = lo_;
-      f.registers.assign(im.reg.begin() + lo_, im.reg.begin() + hi_);
-#ifndef DMATCH_OBS_DISABLED
-      if (observer != nullptr) f.metrics = observer->metrics().merged();
-#endif
+      f.registers.assign(sh.regs + lo_, sh.regs + hi_);
+      DMATCH_OBS(if (observer != nullptr) {
+        std::vector<obs::MetricsRegistry::Merged> now =
+            observer->metrics().merged();
+        f.metrics = metrics_delta(now, im.exported);
+        im.exported = std::move(now);
+      })
       group_.send_to(0, encode_result(f));
     }
     result.stats = out_stats;
@@ -1015,8 +623,7 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
   // Rank 0: aggregate the survivors' shares into the global view.
   RunStats agg = out_stats;
   std::vector<int> regs_full(n, -1);
-  std::copy(im.reg.begin() + lo_, im.reg.begin() + hi_,
-            regs_full.begin() + lo_);
+  std::copy(sh.regs + lo_, sh.regs + hi_, regs_full.begin() + lo_);
   bool any_tripped = tripped;
   if (procs > 1) {
     std::vector<std::uint8_t> buf;
@@ -1043,11 +650,9 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
           regs_full[static_cast<std::size_t>(f->reg_lo) + i] =
               f->registers[i];
         }
-#ifndef DMATCH_OBS_DISABLED
-        if (observer != nullptr) {
+        DMATCH_OBS(if (observer != nullptr) {
           observer->metrics().import_merged(f->metrics);
-        }
-#endif
+        })
         got = true;
       }
     }
@@ -1055,50 +660,17 @@ MpResult MpEngine::run_rounds(const ProcessFactory& factory, int max_rounds,
   if (any_tripped) agg = RunStats{};
   result.tripped = any_tripped;
 
-#ifndef DMATCH_OBS_DISABLED
-  if (observer != nullptr && !any_tripped) {
-    obs::ShardObs* const o = sobs;
-    if (faults) {
-      const std::uint64_t end_round =
-          base_round + static_cast<std::uint64_t>(executed);
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (im.crash_at[vi] >= base_round && im.crash_at[vi] < end_round) {
-          o->trace_at(run_start_clock + (im.crash_at[vi] - base_round),
-                      obs::EventType::kCrash, static_cast<std::uint32_t>(v));
-        }
-        if (im.restart_at[vi] > base_round &&
-            im.restart_at[vi] <= end_round) {
-          o->trace_at(run_start_clock + (im.restart_at[vi] - base_round),
-                      obs::EventType::kRestart,
-                      static_cast<std::uint32_t>(v));
-        }
-      }
-    }
-    const obs::StdMetricIds& mid = o->ids();
-    o->count(mid.engine_runs, 1);
-    o->count(mid.engine_rounds, agg.rounds);
-    o->count(mid.engine_messages, agg.messages);
-    o->count(mid.engine_bits, agg.total_bits);
-    o->gauge_max(mid.engine_max_message_bits, agg.max_message_bits);
-    o->count(mid.fault_dropped, agg.dropped_messages);
-    o->count(mid.fault_duplicated, agg.duplicated_messages);
-    o->count(mid.fault_delayed, agg.delayed_messages);
-    o->count(mid.fault_reordered, agg.reordered_inboxes);
-    o->count(mid.fault_crashed, agg.crashed_nodes);
-    o->count(mid.fault_restarted, agg.restarted_nodes);
-  }
-#endif
+  DMATCH_OBS(if (observer != nullptr && !any_tripped) {
+    kernel::export_run_obs(*sobs, k, rf, executed, run_start_clock, agg);
+  })
 
   // Dead mask: plan deaths at the final round plus every node owned by a
   // rank the failure detector declared dead.
   std::vector<char> dead(n, 0);
-  const std::uint64_t final_round =
-      base_round + static_cast<std::uint64_t>(executed);
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (faults && dead_at(v, final_round)) dead[vi] = 1;
-    if (!group_.alive(rank_of(v))) dead[vi] = 1;
+    if (k.node_dead(v) || !group_.alive(rank_of(v))) {
+      dead[static_cast<std::size_t>(v)] = 1;
+    }
   }
   congest::heal_register_image(g, regs_full, dead, &result.degradation);
   if (any_tripped) result.degradation.contract_tripped = true;

@@ -1,6 +1,9 @@
 // Multi-process CONGEST round engine: one MpEngine instance per OS
 // process (rank), each owning a contiguous balanced node range of the
-// shared graph. Cross-shard messages batch into per-peer buffers and
+// shared graph. A rank steps its nodes with the same kernel the
+// single-process Network uses (congest/kernel.hpp) and keeps only the
+// frame protocol, the failure detector, rejoin and rank-0 aggregation.
+// Cross-shard messages batch into per-peer buffers and
 // flush as one ROUND frame per peer at the round boundary; a tiny COUNT
 // frame broadcast then carries each rank's (scheduled, parked, sent)
 // counts, and the run quiesces when the global sum hits zero — the
@@ -116,7 +119,6 @@ class MpEngine {
 
   struct Impl;
   const Graph* g_;
-  congest::Model model_;
   std::uint64_t seed_;
   std::uint32_t cap_bits_;
   MpOptions options_;

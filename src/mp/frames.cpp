@@ -18,6 +18,12 @@ constexpr std::uint64_t kMaxMetrics = 4096;
 constexpr std::uint64_t kMaxNameLen = 160;
 constexpr std::uint64_t kMaxDelaySpan = 1u << 20;
 
+// Smallest encodings of repeated items, in bits: a decoded count larger
+// than the unread bits could describe is rejected before anything is
+// sized from it.
+constexpr std::uint64_t kMinWireMsgBits = 32 + 16 + 32 + 32 + 32;
+constexpr std::uint64_t kMinMetricBits = 8 + 16 + 64;
+
 /// Seal a BitWriter into a byte string: words little-endian, trimmed to
 /// ceil(bits / 8) bytes.
 std::vector<std::uint8_t> seal(BitWriter&& w) {
@@ -48,6 +54,14 @@ class CheckedReader {
     if (width == 0 || width > 64 || reader_.remaining() < width) return false;
     out = reader_.read(width);
     return true;
+  }
+
+  /// Read a count of items whose smallest encoding is `min_bits` each,
+  /// failing if even that many items cannot fit in the unread bits — so
+  /// a garbage count never sizes an allocation beyond the frame itself.
+  [[nodiscard]] bool read_count(std::uint64_t& out, unsigned width,
+                                std::uint64_t min_bits) {
+    return read(out, width) && out <= reader_.remaining() / min_bits;
   }
 
  private:
@@ -105,7 +119,7 @@ bool get_stats(CheckedReader& r, congest::RunStats& s) {
   if (!r.read(v, 1)) return false;
   s.completed = v != 0;
   std::uint64_t count = 0;
-  if (!r.read(count, 32) || count > kMaxRounds) return false;
+  if (!r.read_count(count, 32, 64) || count > kMaxRounds) return false;
   s.round_messages.resize(static_cast<std::size_t>(count));
   for (std::uint64_t& m : s.round_messages) {
     if (!r.read(m, 64)) return false;
@@ -127,7 +141,7 @@ void put_registers(BitWriter& w, NodeId lo, std::span<const int> regs) {
 bool get_registers(CheckedReader& r, NodeId n, NodeId& lo,
                    std::vector<int>& regs) {
   std::uint64_t lo_raw = 0, count = 0;
-  if (!r.read(lo_raw, 32) || !r.read(count, 32)) return false;
+  if (!r.read(lo_raw, 32) || !r.read_count(count, 32, 32)) return false;
   if (lo_raw > static_cast<std::uint64_t>(n) ||
       count > static_cast<std::uint64_t>(n) - lo_raw) {
     return false;
@@ -212,7 +226,9 @@ std::optional<RoundFrame> decode_round(std::span<const std::uint8_t> frame,
   f.src = h.src;
   f.round = h.round;
   std::uint64_t count = 0;
-  if (!r.read(count, 32) || count > kMaxBatchMsgs) return std::nullopt;
+  if (!r.read_count(count, 32, kMinWireMsgBits) || count > kMaxBatchMsgs) {
+    return std::nullopt;
+  }
   f.msgs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     WireMsg m;
@@ -308,7 +324,9 @@ std::optional<ResultFrame> decode_result(std::span<const std::uint8_t> frame,
   if (!get_stats(r, f.stats)) return std::nullopt;
   if (!get_registers(r, n, f.reg_lo, f.registers)) return std::nullopt;
   std::uint64_t mcount = 0;
-  if (!r.read(mcount, 16) || mcount > kMaxMetrics) return std::nullopt;
+  if (!r.read_count(mcount, 16, kMinMetricBits) || mcount > kMaxMetrics) {
+    return std::nullopt;
+  }
   f.metrics.resize(static_cast<std::size_t>(mcount));
   for (auto& m : f.metrics) {
     if (!r.read(v, 8) ||
@@ -317,7 +335,7 @@ std::optional<ResultFrame> decode_result(std::span<const std::uint8_t> frame,
     }
     m.kind = static_cast<obs::MetricKind>(v);
     std::uint64_t len = 0;
-    if (!r.read(len, 16) || len > kMaxNameLen) return std::nullopt;
+    if (!r.read_count(len, 16, 8) || len > kMaxNameLen) return std::nullopt;
     m.name.resize(static_cast<std::size_t>(len));
     for (char& c : m.name) {
       if (!r.read(v, 8)) return std::nullopt;
@@ -325,8 +343,8 @@ std::optional<ResultFrame> decode_result(std::span<const std::uint8_t> frame,
     }
     if (m.kind == obs::MetricKind::kHistogramLog2) {
       std::uint64_t nb = 0;
-      if (!r.read(m.count, 64) || !r.read(m.sum, 64) || !r.read(nb, 8) ||
-          nb > obs::MetricsRegistry::kHistBuckets) {
+      if (!r.read(m.count, 64) || !r.read(m.sum, 64) ||
+          !r.read_count(nb, 8, 64) || nb > obs::MetricsRegistry::kHistBuckets) {
         return std::nullopt;
       }
       m.buckets.resize(static_cast<std::size_t>(nb));
@@ -381,7 +399,7 @@ std::optional<ResumeFrame> decode_resume(std::span<const std::uint8_t> frame,
   if (!r.read(f.nonce, 64)) return std::nullopt;
   if (!get_registers(r, n, f.reg_lo, f.registers)) return std::nullopt;
   std::uint64_t count = 0;
-  if (!r.read(count, 8)) return std::nullopt;
+  if (!r.read_count(count, 8, 1)) return std::nullopt;
   f.rank_dead.resize(static_cast<std::size_t>(count));
   for (char& d : f.rank_dead) {
     std::uint64_t v = 0;

@@ -55,6 +55,15 @@ TEST(GraphIo, RejectsMalformedInput) {
     std::stringstream ss("q edge 2 1\n");  // unknown directive
     EXPECT_THROW(read_edge_list(ss), ContractViolation);
   }
+  {
+    // Header edge count far beyond the input: rejected, never reserved.
+    std::stringstream ss("p edge 1 2147483647\n");
+    EXPECT_THROW(read_edge_list(ss), ContractViolation);
+  }
+  {
+    std::stringstream ss("p edge 2 1\np edge 2 1\ne 0 1\n");  // two headers
+    EXPECT_THROW(read_edge_list(ss), ContractViolation);
+  }
 }
 
 TEST(GraphIo, DotExportMarksMatchedEdges) {

@@ -12,8 +12,12 @@
 //    worker rejoins from its checkpoint and finishes the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <sstream>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -30,7 +34,9 @@
 #include "mp/frames.hpp"
 #include "mp/transport.hpp"
 #include "mp_harness.hpp"
+#include "obs/obs.hpp"
 #include "support/sched.hpp"
+#include "support/wire.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define DMATCH_TSAN 1
@@ -285,6 +291,181 @@ TEST(MpRobustness, RestartedWorkerRejoinsFromCheckpoint) {
   EXPECT_GE(got.ranks[1].rounds_executed, 30);  // resumed at ~round 7
   EXPECT_TRUE(got.root.dead_nodes ==
               std::vector<char>(static_cast<std::size_t>(g.node_count()), 0));
+}
+
+// --- forced abort: every executor rolls back the same round ----------
+
+// Parks every 5th node; every live node stamps all its ports each round
+// until round 6 and points its register at the lowest port it heard
+// from, except `thrower`, which sends one over-cap message at round 3 —
+// a CONGEST contract trip the engine must roll back.
+class TripProcess final : public congest::Process {
+ public:
+  explicit TripProcess(bool thrower) : thrower_(thrower) {}
+
+  void on_round(congest::Context& ctx,
+                std::span<const congest::Envelope> inbox) override {
+    if (!inbox.empty()) ctx.set_mate_port(inbox.front().port);
+    if (thrower_ && ctx.round() == 3) {
+      BitWriter w;
+      for (int i = 0; i < 16; ++i) w.write(~std::uint64_t{0}, 64);
+      ctx.send(0, congest::Message::from_writer(std::move(w)));
+    }
+    if (ctx.round() >= 6) {
+      halted_ = true;
+      return;
+    }
+    for (int p = 0; p < ctx.degree(); ++p) {
+      BitWriter w;
+      w.write(static_cast<std::uint64_t>(ctx.round()), 16);
+      ctx.send(p, congest::Message::from_writer(std::move(w)));
+    }
+  }
+
+  [[nodiscard]] bool halted() const override { return halted_; }
+
+ private:
+  bool thrower_;
+  bool halted_ = false;
+};
+
+/// What one run left behind, as every executor must agree on it.
+struct AbortOutcome {
+  bool tripped = false;
+  std::uint64_t rounds = 0;
+  std::vector<int> registers;  // healed image
+  std::string metrics_json;
+  std::vector<obs::TraceEvent> trace;  // canonical multiset, all sinks
+
+  bool operator==(const AbortOutcome&) const = default;
+};
+
+obs::ObsConfig abort_obs_config() {
+  obs::ObsConfig oc;
+  oc.profile_links = false;  // profiler reports are single-sink only
+  return oc;
+}
+
+std::string metrics_json(const obs::Observer& o) {
+  std::ostringstream os;
+  o.metrics().write_json(os);
+  return os.str();
+}
+
+std::vector<obs::TraceEvent> trace_union(
+    const std::vector<std::unique_ptr<obs::Observer>>& observers) {
+  std::vector<obs::TraceEvent> all;
+  for (const auto& o : observers) {
+    const auto events = o->trace_sink().merged();
+    all.insert(all.end(), events.begin(), events.end());
+  }
+  std::sort(all.begin(), all.end(), mptest::trace_less);
+  return all;
+}
+
+/// Two runs on one Network with `threads` workers.
+std::vector<AbortOutcome> network_abort_runs(
+    const Graph& g, const congest::ProcessFactory& factory,
+    const FaultPlan& plan, unsigned threads) {
+  std::vector<std::unique_ptr<obs::Observer>> observer;
+  observer.push_back(std::make_unique<obs::Observer>(abort_obs_config()));
+  congest::Network::Options options;
+  options.num_threads = threads;
+  options.fault = plan;
+  options.observer = observer[0].get();
+  congest::Network net(g, congest::Model::kCongest, 67, 48, options);
+  std::vector<AbortOutcome> out(2);
+  for (AbortOutcome& o : out) {
+    const std::uint64_t before = net.lifetime_rounds();
+    try {
+      (void)net.run(factory, kBudget);
+    } catch (const congest::MessageTooLarge&) {
+      o.tripped = true;
+    }
+    o.rounds = net.lifetime_rounds() - before;
+    net.copy_registers(o.registers);
+    std::vector<char> dead(o.registers.size(), 0);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      dead[static_cast<std::size_t>(v)] = net.node_dead(v) ? 1 : 0;
+    }
+    congest::heal_register_image(g, o.registers, dead);
+    o.metrics_json = metrics_json(*observer[0]);
+    o.trace = trace_union(observer);
+  }
+  return out;
+}
+
+/// Two runs on the same `procs` loopback MpEngine ranks.
+std::vector<AbortOutcome> mp_abort_runs(const Graph& g,
+                                        const congest::ProcessFactory& factory,
+                                        const FaultPlan& plan,
+                                        unsigned procs) {
+  mp::LoopbackHub hub(procs);
+  std::vector<std::unique_ptr<obs::Observer>> observers;
+  std::vector<std::unique_ptr<mp::MpEngine>> engines;
+  for (unsigned r = 0; r < procs; ++r) {
+    observers.push_back(std::make_unique<obs::Observer>(abort_obs_config()));
+    mp::MpOptions options;
+    options.fault = plan;
+    options.observer = observers[r].get();
+    engines.push_back(std::make_unique<mp::MpEngine>(
+        g, congest::Model::kCongest, 67, 48, hub.endpoint(r), options));
+  }
+  std::vector<AbortOutcome> out(2);
+  for (AbortOutcome& o : out) {
+    std::vector<mp::MpResult> results(procs);
+    std::vector<std::thread> threads;
+    for (unsigned r = 0; r < procs; ++r) {
+      threads.emplace_back(
+          [&, r] { results[r] = engines[r]->run(factory, kBudget); });
+    }
+    for (auto& t : threads) t.join();
+    o.tripped = results[0].tripped;
+    o.rounds = static_cast<std::uint64_t>(results[0].rounds_executed);
+    o.registers = results[0].registers;
+    o.metrics_json = metrics_json(*observers[0]);
+    o.trace = trace_union(observers);
+  }
+  return out;
+}
+
+TEST(MpIdentity, ForcedAbortRollsBackIdenticallyAcrossExecutors) {
+  const Graph g = gen::gnp(40, 4.0 / 40, 67);
+  // The thrower: a live, connected node in rank 1's range at procs = 2.
+  const auto rank1 = support::balanced_range(g.node_count(), 2, 1);
+  NodeId thrower = kNoNode;
+  for (auto v = static_cast<NodeId>(rank1.begin); thrower == kNoNode; ++v) {
+    ASSERT_LT(static_cast<std::size_t>(v), rank1.end);
+    if (v % 5 != 0 && g.degree(v) > 0) thrower = v;
+  }
+  const congest::ProcessFactory factory =
+      [thrower](NodeId v, const Graph&) -> std::unique_ptr<congest::Process> {
+    if (v % 5 == 0) return nullptr;  // parked
+    return std::make_unique<TripProcess>(v == thrower);
+  };
+  FaultPlan plan;
+  plan.drop_prob = 0.1;
+  plan.seed = 71;
+
+  const std::vector<AbortOutcome> ref = network_abort_runs(g, factory, plan, 1);
+  for (const AbortOutcome& o : ref) {
+    EXPECT_TRUE(o.tripped);
+    EXPECT_EQ(o.rounds, 3u);
+  }
+  EXPECT_TRUE(network_abort_runs(g, factory, plan, 2) == ref) << "threads=2";
+  for (const unsigned procs : {1u, 2u}) {
+    const std::vector<AbortOutcome> got = mp_abort_runs(g, factory, plan, procs);
+    for (std::size_t run = 0; run < ref.size(); ++run) {
+      const std::string tag =
+          "procs=" + std::to_string(procs) + " run=" + std::to_string(run);
+      EXPECT_EQ(got[run].tripped, ref[run].tripped) << tag;
+      EXPECT_EQ(got[run].rounds, ref[run].rounds) << tag;
+      EXPECT_EQ(got[run].registers, ref[run].registers) << tag;
+      EXPECT_EQ(got[run].metrics_json, ref[run].metrics_json) << tag;
+      EXPECT_TRUE(got[run].trace == ref[run].trace)
+          << tag << ": trace multiset diverged";
+    }
+  }
 }
 
 // --- TCP transport ---------------------------------------------------

@@ -3,7 +3,10 @@
 // updated alongside.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -16,6 +19,35 @@
 #include "mis/luby.hpp"
 #include "mp/frames.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
+
+namespace {
+
+/// Largest single operator-new request since the last reset. Requests
+/// above 64 MiB are refused outright: nothing in this binary needs one,
+/// so a decoder that sizes memory from a garbage count fails fast
+/// instead of reserving gigabytes.
+std::atomic<std::size_t> largest_request{0};
+constexpr std::size_t kRefuseAbove = std::size_t{64} << 20;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t prev = largest_request.load(std::memory_order_relaxed);
+  while (size > prev && !largest_request.compare_exchange_weak(
+                            prev, size, std::memory_order_relaxed)) {
+  }
+  if (size <= kRefuseAbove) {
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new it cannot see is malloc-backed.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dmatch {
 namespace {
@@ -200,6 +232,54 @@ TEST(WireContract, MpRoundFrameRejectsForeignTopologyAndOverCap) {
   EXPECT_FALSE(mp::decode_round(bytes, small, 192).has_value());
   // A receiver with a tighter CONGEST cap rejects the payload outright.
   EXPECT_FALSE(mp::decode_round(bytes, big, 1).has_value());
+}
+
+/// Little-endian bytes of a hand-built frame, trimmed to whole bytes —
+/// the layout mp's encoders seal.
+std::vector<std::uint8_t> frame_bytes(const BitWriter& w) {
+  std::vector<std::uint8_t> out((w.bit_count() + 7) / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(w.words()[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+void put_frame_header(BitWriter& w, mp::FrameKind kind) {
+  w.write(mp::kFrameMagic, 16);
+  w.write(static_cast<std::uint64_t>(kind), 8);
+  w.write(1, 8);  // src
+  w.write(0, 32);  // round
+}
+
+TEST(WireContract, MpDecodersSizeFromReceivedBytes) {
+  const Graph g = gen::cycle(8);
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+  // A 12-byte ROUND frame whose count field claims 2^26 - 1 messages.
+  BitWriter round;
+  put_frame_header(round, mp::FrameKind::kRound);
+  round.write((std::uint64_t{1} << 26) - 1, 32);
+  const auto round_bytes = frame_bytes(round);
+  ASSERT_EQ(round_bytes.size(), 12u);
+  largest_request = 0;
+  EXPECT_FALSE(mp::decode_round(round_bytes, g, 192).has_value());
+  EXPECT_LE(largest_request.load(), kMiB);
+
+  // A RESULT frame whose round-histogram count claims 2^24 entries and
+  // ends right after the count.
+  BitWriter result;
+  put_frame_header(result, mp::FrameKind::kResult);
+  result.write_bool(false);  // tripped
+  result.write(5, 64);       // rounds
+  result.write(9, 64);       // messages
+  result.write(18, 64);      // total_bits
+  result.write(2, 32);       // max_message_bits
+  result.write_bool(true);   // completed
+  result.write(std::uint64_t{1} << 24, 32);
+  const auto result_bytes = frame_bytes(result);
+  largest_request = 0;
+  EXPECT_FALSE(mp::decode_result(result_bytes, g.node_count()).has_value());
+  EXPECT_LE(largest_request.load(), kMiB);
 }
 
 }  // namespace

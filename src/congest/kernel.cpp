@@ -147,11 +147,11 @@ void State::finish_route(ShardRun& sh, const RunFrame& rf, int round,
   // plan alone, never of which shard or rank parked each message.
   auto& next = sh.ring[static_cast<std::size_t>(round + 1) % window];
   std::sort(next.begin(), next.end(),
-            [](const ExtraMsg& a, const ExtraMsg& b) {
-              return std::tie(a.node, a.port, a.origin_round) <
-                     std::tie(b.node, b.port, b.origin_round);
+            [](const LateMsg& a, const LateMsg& b) {
+              return std::tie(a.dst, a.port, a.origin_round) <
+                     std::tie(b.dst, b.port, b.origin_round);
             });
-  for (const ExtraMsg& e : next) schedule(sh, e.node);
+  for (const LateMsg& e : next) schedule(sh, e.dst);
   // Wake this shard's nodes whose restart round is next round.
   const std::uint64_t wake_round = rf.life_round(round) + 1;
   auto it = std::lower_bound(restart_events.begin(), restart_events.end(),

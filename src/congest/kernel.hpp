@@ -5,12 +5,14 @@
 // the only code that defines what that round does to a node; the
 // executors decide only where nodes run and how deliveries travel:
 //
-//   * Network (congest/network.hpp) shards one process's nodes over a
-//     scheduler's workers, carries deliveries between shards on
-//     activity lanes, and extracts matchings;
-//   * mp::MpEngine (mp/engine.hpp) owns one rank's node range, ships
-//     cross-rank deliveries as ROUND frames, detects dead ranks, admits
-//     rejoins and aggregates results on rank 0;
+//   * Network::run (congest/network.cpp) is the one round loop around
+//     step_node: it shards one process's nodes over a scheduler's
+//     workers and carries deliveries between shards on activity lanes.
+//     A run split over processes (mp::MpEngine, one Network per rank)
+//     steps only its rank's range and trades the rest through the
+//     loop's RoundBarrier: ROUND frames, COUNT sums, aborts. Only that
+//     loop calls step_node, finish_route, advance_round and close_run
+//     or uses RoundRollback (a `lint` test enforces it);
 //   * the alpha-synchronizer executor (congest/async.cpp) keeps its
 //     event queue and synchronizer and takes EngineContext,
 //     message_fate and reorder_inbox from here.
@@ -166,21 +168,19 @@ struct NodeGate {
   std::uint32_t rcv = 0;
 };
 
-/// A faulty (delayed or duplicated) delivery parked in a delay ring until
-/// its round. `origin_round` keys the canonical per-receiver ordering, so
-/// delivery order never depends on the shard or rank layout.
-struct ExtraMsg {
-  NodeId node;       // receiver
-  int port;          // receiver-side port
-  int origin_round;  // run-local round the message was sent in
-  Message msg;
-};
-
-/// An ExtraMsg on its way to the receiver's delay ring, tagged with the
-/// run-local round it is due.
+/// A delivery that does not go straight into a local port slot: a
+/// delayed or duplicated copy bound for a delay ring, or a message for a
+/// node another process steps (mp's ROUND frames carry exactly these).
+/// Ports and rounds are receiver-side and run-local: `port` is the arrival
+/// port of `dst`, due at `deliver_round` and sent at `origin_round`, which
+/// keys the canonical per-receiver ring order, so delivery order never
+/// depends on the shard or rank layout.
 struct LateMsg {
-  int deliver_round;
-  ExtraMsg extra;
+  NodeId dst = 0;
+  int port = 0;
+  int deliver_round = 0;
+  int origin_round = 0;
+  Message msg;
 };
 
 /// Fate of one sent message under a plan: lost, or delivered on time
@@ -369,7 +369,7 @@ struct ShardRun {
   // delayed and duplicated deliveries due at run-local round r, for this
   // shard's nodes. Buckets are canonically sorted at the preceding route
   // phase.
-  std::vector<std::vector<ExtraMsg>> ring;
+  std::vector<std::vector<LateMsg>> ring;
   std::uint64_t pending_extras = 0;  // entries parked across all buckets
   // Globally indexed views of this shard's slab segments, and its
   // observability handle (nullptr = unobserved). Set by State::bind.
@@ -449,7 +449,7 @@ struct State {
   /// Route phase: park a delayed or duplicated delivery in the ring.
   static void park(ShardRun& sh, const RunFrame& rf, LateMsg&& m) {
     sh.ring[static_cast<std::size_t>(m.deliver_round % rf.delay_window)]
-        .push_back(std::move(m.extra));
+        .push_back(std::move(m));
     ++sh.pending_extras;
   }
   /// Close a faulty route phase for a shard owning nodes [lo, hi): retire
@@ -533,8 +533,8 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
   const std::size_t base = slot_offset[vi];
   NodeGate& gate = sh.gates[vi];
   const std::uint64_t life_round = rf.life_round(round);
-  const auto by_node = [](const ExtraMsg& e, NodeId node) {
-    return e.node < node;
+  const auto by_node = [](const LateMsg& e, NodeId node) {
+    return e.dst < node;
   };
 
   if (rf.faults()) {
@@ -546,7 +546,7 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
       sh.stats.dropped_messages += gate.rcv;
       gate.rcv = 0;
       auto it = std::lower_bound(due.begin(), due.end(), v, by_node);
-      for (; it != due.end() && it->node == v; ++it) {
+      for (; it != due.end() && it->dst == v; ++it) {
         ++sh.stats.dropped_messages;
       }
       return;
@@ -591,7 +591,7 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
     // so this order is layout independent.
     auto& due = sh.ring[static_cast<std::size_t>(round % rf.delay_window)];
     auto it = std::lower_bound(due.begin(), due.end(), v, by_node);
-    for (; it != due.end() && it->node == v; ++it) {
+    for (; it != due.end() && it->dst == v; ++it) {
       sh.inbox.push_back({it->port, std::move(it->msg)});
     }
   }
@@ -621,12 +621,12 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
         const int rport = static_cast<int>(
             in_slot - slot_offset[static_cast<std::size_t>(u)]);
         if (f.dup != 0) {
-          sink.park(LateMsg{round + 1 + f.dup, {u, rport, round, env.msg}});
+          sink.park(LateMsg{u, rport, round + 1 + f.dup, round, env.msg});
         }
         if (f.late != 0) {
           // The only copy arrives late, through the delay ring.
-          sink.park(LateMsg{round + 1 + f.late,
-                            {u, rport, round, std::move(env.msg)}});
+          sink.park(
+              LateMsg{u, rport, round + 1 + f.late, round, std::move(env.msg)});
           continue;
         }
       }

@@ -48,10 +48,18 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
   k_.init_faults(options_.fault);
 }
 
-RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
+RunStats Network::run(const ProcessFactory& factory, int max_rounds,
+                      RoundBarrier* barrier) {
   DMATCH_EXPECTS(max_rounds >= 0);
   const Graph& g = *g_;
   const auto n = static_cast<std::size_t>(g.node_count());
+  // The nodes this process steps: all of them, or the barrier's part.
+  const unsigned parts = barrier != nullptr ? barrier->parts : 1;
+  const unsigned part = barrier != nullptr ? barrier->part : 0;
+  DMATCH_EXPECTS(part < parts);
+  const auto [lo, hi] = support::balanced_range(n, parts, part);
+  [[maybe_unused]] const bool lead = part == 0;
+  const int first_round = barrier != nullptr ? barrier->first_round : 0;
 
   // Every probabilistic fault decision is a pure hash of (run seed,
   // round, slot-or-node), so the injected history is a function of the
@@ -65,8 +73,12 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     return support::balanced_part_of(n, num_shards,
                                      static_cast<std::size_t>(v));
   };
-  const auto shard_range = [n, num_shards](unsigned s) {
-    return support::balanced_range(n, num_shards, s);
+  // Shard s's stepped nodes: its balanced range clipped to [lo, hi).
+  const auto shard_range = [n, num_shards, lo, hi](unsigned s) {
+    const support::BalancedRange r =
+        support::balanced_range(n, num_shards, s);
+    return support::BalancedRange{std::clamp(r.begin, lo, hi),
+                                  std::clamp(r.end, lo, hi)};
   };
 
   std::vector<ShardState> shards(num_shards);
@@ -87,6 +99,17 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
       [&](unsigned src, unsigned dst) -> std::vector<kernel::LateMsg>& {
     return fault_lanes[static_cast<std::size_t>(src) * num_shards + dst];
   };
+  // Deliveries for nodes other processes step, one lane per (sending
+  // shard, receiving process), and the batches the barrier brings in.
+  std::vector<std::vector<kernel::LateMsg>> remote(
+      barrier != nullptr ? static_cast<std::size_t>(num_shards) * parts : 0);
+  const auto remote_lane =
+      [&, n, parts](unsigned s, NodeId u) -> std::vector<kernel::LateMsg>& {
+    return remote[static_cast<std::size_t>(s) * parts +
+                  support::balanced_part_of(n, parts,
+                                            static_cast<std::size_t>(u))];
+  };
+  std::vector<std::vector<kernel::LateMsg>> incoming;
 
   // Shard-major construction: shards are contiguous ascending node
   // ranges, so this visits nodes in global ascending order while touching
@@ -94,12 +117,13 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
   std::vector<std::unique_ptr<Process>> procs(n);
   for (unsigned s = 0; s < num_shards; ++s) {
     const auto [vb, ve] = shard_range(s);
-    k_.spawn(shards[s], rf, vb, ve, factory, procs, rf.base_round);
+    k_.spawn(shards[s], rf, vb, ve, factory, procs,
+             rf.life_round(first_round));
   }
 
   RunStats stats;
   std::atomic<bool> failed{false};
-  std::uint64_t routed_before = 0;
+  RoundBarrier::Counts sent_before;  // msgs and bits of earlier rounds
 
   // Observability attach: per-shard single-writer handles and a
   // `profiled` flag saying whether this run's graph feeds the link
@@ -107,60 +131,89 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
   obs::Observer* const observer = this->observer();
   bool profiled = false;
   [[maybe_unused]] std::uint64_t run_start_clock = 0;
-  [[maybe_unused]] std::uint64_t obs_bits_before = 0;
   DMATCH_OBS(if (observer != nullptr) {
     profiled = observer->begin_run(num_shards, g);
     run_start_clock = observer->clock();
+    if (first_round > 0) observer->advance_clock(first_round);
     for (unsigned s = 0; s < num_shards; ++s) {
       shards[s].obs = observer->shard(s);
     }
   })
 
-  const auto for_each_shard = [&](const std::function<void(unsigned)>& fn) {
-    sched_->run_tasks(num_shards, fn);
-  };
-
   // Deliveries of shard s: on-time ones into the port slots plus an
   // activity-lane entry, faulty ones onto the fault lane of the
-  // receiver's shard.
+  // receiver's shard, and those for nodes another process steps onto the
+  // remote lane of that process, due at their receiver-side (port, round).
   struct LaneSink {
     kernel::State& k;
     unsigned s;
+    int round;
+    std::size_t lo, span;  // stepped here: lo <= u < lo + span
     const decltype(lane)& on_time;
     const decltype(fault_lane)& late;
+    const decltype(remote_lane)& remote;
     const decltype(shard_of)& owner;
+    [[nodiscard]] bool elsewhere(NodeId u) const {
+      return static_cast<std::size_t>(u) - lo >= span;
+    }
     void deliver(NodeId u, std::size_t in_slot, Message&& msg) {
+      if (elsewhere(u)) {
+        const auto port = static_cast<int>(
+            in_slot - k.slot_offset[static_cast<std::size_t>(u)]);
+        remote(s, u).push_back({u, port, round + 1, round, std::move(msg)});
+        return;
+      }
       k.post(in_slot, std::move(msg));
       on_time(s, owner(u)).push_back(u);
     }
     void park(kernel::LateMsg&& m) {
-      late(s, owner(m.extra.node)).push_back(std::move(m));
+      auto& box = elsewhere(m.dst) ? remote(s, m.dst) : late(s, owner(m.dst));
+      box.push_back(std::move(m));
     }
   };
 
-  const auto step_shard = [&](int round) {
-    return [&, round](unsigned s) {
-      ShardState& shard = shards[s];
-      LaneSink sink{k_, s, lane, fault_lane, shard_of};
-      try {
-        for (const NodeId v : shard.active) {
-          if (failed.load(std::memory_order_relaxed)) break;
-          k_.step_node(shard, rf, round, v, procs, factory, sink);
-        }
-      } catch (...) {
-        shard.error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+  // The shard tasks of round `executed`. Each is handed to the scheduler
+  // through a one-reference wrapper, which std::function holds without
+  // allocating.
+  int executed = first_round;
+  const auto step_shard = [&](unsigned s) {
+    ShardState& shard = shards[s];
+    LaneSink sink{k_,   s,          executed,    lo,      hi - lo,
+                  lane, fault_lane, remote_lane, shard_of};
+    try {
+      for (const NodeId v : shard.active) {
+        if (failed.load(std::memory_order_relaxed)) break;
+        k_.step_node(shard, rf, executed, v, procs, factory, sink);
       }
-    };
+    } catch (...) {
+      shard.error = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
   };
 
-  const auto route_shard = [&](int round) {
-    return [&, round](unsigned t) {
-      ShardState& shard = shards[t];
+  const auto route_shard = [&](unsigned t) {
+    ShardState& shard = shards[t];
+    try {
       for (unsigned s = 0; s < num_shards; ++s) {
         std::vector<NodeId>& box = lane(s, t);
         for (const NodeId u : box) k_.wake(shard, u);
         box.clear();
+      }
+      for (std::vector<kernel::LateMsg>& batch : incoming) {
+        for (kernel::LateMsg& m : batch) {
+          const NodeId u = m.dst;
+          DMATCH_EXPECTS(static_cast<std::size_t>(u) - lo < hi - lo);
+          if (shard_of(u) != t) continue;
+          if (m.deliver_round == executed + 1) {
+            k_.post(k_.slot_offset[static_cast<std::size_t>(u)] +
+                        static_cast<std::size_t>(m.port),
+                    std::move(m.msg));
+            k_.wake(shard, u);
+          } else {
+            DMATCH_EXPECTS(faults && m.deliver_round > executed + 1);
+            kernel::State::park(shard, rf, std::move(m));
+          }
+        }
       }
       if (!faults) return;
       // Park this round's delayed / duplicated sends in the delay ring.
@@ -171,24 +224,34 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
         }
         box.clear();
       }
-      const auto [lo, hi] = shard_range(t);
-      k_.finish_route(shard, rf, round, lo, hi);
-    };
+      const auto [vb, ve] = shard_range(t);
+      k_.finish_route(shard, rf, executed, vb, ve);
+    } catch (...) {
+      shard.error = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
   };
 
-  // Quiescent = nothing scheduled and (under faults) nothing parked in
-  // a delay ring.
-  const auto all_idle = [&] {
-    return std::all_of(shards.begin(), shards.end(), [](const auto& s) {
-      return s.active.empty() && s.pending_extras == 0;
-    });
+  // Quiescent = nothing scheduled and (under faults) nothing parked in a
+  // delay ring, on every process.
+  RoundBarrier::Counts global;
+  for (const ShardState& shard : shards) {
+    global.scheduled += shard.active.size();
+  }
+  if (barrier != nullptr) barrier->start(global);
+  const auto idle = [&global] {
+    return global.scheduled == 0 && global.parked == 0;
   };
 
   kernel::RoundRollback rollback;
-  int executed = 0;
   bool quiesced = false;
+  bool tripped = false;
   for (; executed < max_rounds; ++executed) {
-    quiesced = all_idle();
+    if (barrier != nullptr && !barrier->proceed(executed)) {
+      k_.end_run(rf, executed);
+      return {};
+    }
+    quiesced = idle();
     if (quiesced) break;
     // Between rounds is the other safe renormalization point, covering
     // single runs long enough to approach the 32-bit epoch ceiling.
@@ -201,35 +264,50 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     // Snapshot before emitting anything, so an aborted round rolls back
     // to a state with no trace of the round at all.
     if (faults) rollback.capture(k_, observer, num_shards, profiled);
-    DMATCH_OBS(if (observer != nullptr) {
-      std::uint64_t scheduled = 0;
-      for (const ShardState& shard : shards) scheduled += shard.active.size();
-      shards[0].obs->trace(obs::EventType::kRoundStart, 0, scheduled);
+    DMATCH_OBS(if (observer != nullptr && lead) {
+      shards[0].obs->trace(obs::EventType::kRoundStart, 0, global.scheduled);
     })
 
-    for_each_shard(step_shard(executed));
-    if (failed.load(std::memory_order_relaxed)) {
-      if (faults) rollback.restore(k_, observer, num_shards, profiled);
-      k_.end_run(rf, executed);
-      for (const ShardState& shard : shards) {
-        if (shard.error != nullptr) std::rethrow_exception(shard.error);
-      }
+    sched_->run_tasks(num_shards,
+                      [&step_shard](unsigned s) { step_shard(s); });
+    bool ok = !failed.load(std::memory_order_relaxed);
+    if (barrier != nullptr) {
+      ok = barrier->exchange(executed, !ok, remote, incoming,
+                             shards[0].stats);
     }
-    for_each_shard(route_shard(executed));
+    RoundBarrier::Counts local;  // carried into the next round, and sent
+    if (ok) {
+      sched_->run_tasks(num_shards,
+                        [&route_shard](unsigned t) { route_shard(t); });
+      incoming.clear();
+      for (const ShardState& shard : shards) {
+        local.scheduled += shard.next_active.size();
+        local.parked += shard.pending_extras;
+        local.msgs += shard.stats.messages;
+        local.bits += shard.stats.total_bits;
+      }
+      local.msgs -= sent_before.msgs;
+      local.bits -= sent_before.bits;
+      global = local;
+      ok = !failed.load(std::memory_order_relaxed);
+      if (barrier != nullptr) ok = barrier->settle(executed, !ok, global);
+    }
+    if (!ok) {
+      if (faults) rollback.restore(k_, observer, num_shards, profiled);
+      tripped = true;
+      break;
+    }
 
-    std::uint64_t routed = 0;
-    for (const ShardState& shard : shards) routed += shard.stats.messages;
-    const std::uint64_t sent = routed - routed_before;
-    stats.round_messages.push_back(sent);
-    routed_before = routed;
+    stats.round_messages.push_back(local.msgs);
     ++stats.rounds;
+    sent_before.msgs += local.msgs;
+    sent_before.bits += local.bits;
 
     DMATCH_OBS(if (observer != nullptr) {
-      std::uint64_t bits = 0;
-      for (const ShardState& shard : shards) bits += shard.stats.total_bits;
-      kernel::record_round_end(*observer, *shards[0].obs, sent,
-                               bits - obs_bits_before);
-      obs_bits_before = bits;
+      if (lead) {
+        kernel::record_round_end(*observer, *shards[0].obs, global.msgs,
+                                 global.bits);
+      }
       observer->advance_clock();
     })
 
@@ -240,28 +318,41 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds) {
     }
   }
 
-  if (!quiesced) {
+  if (tripped && barrier == nullptr) {
+    k_.end_run(rf, executed);
+    for (const ShardState& shard : shards) {
+      if (shard.error != nullptr) std::rethrow_exception(shard.error);
+    }
+  }
+  if (tripped) {
+    stats = RunStats{};
+    stats.completed = false;
+  } else {
     // Budget exhausted: completed only if nothing is pending.
-    quiesced = all_idle();
+    stats.completed = quiesced || idle();
+    for (unsigned s = 0; s < num_shards; ++s) {
+      const auto [vb, ve] = shard_range(s);
+      k_.close_run(shards[s], rf, executed, vb, ve);
+      stats.merge(shards[s].stats);
+    }
   }
-  stats.completed = quiesced;
-  for (unsigned s = 0; s < num_shards; ++s) {
-    const auto [lo, hi] = shard_range(s);
-    k_.close_run(shards[s], rf, executed, lo, hi);
-    stats.merge(shards[s].stats);
-  }
+  [[maybe_unused]] const bool tripped_anywhere =
+      barrier != nullptr ? barrier->finish(stats, tripped) : tripped;
 
-  DMATCH_OBS(if (observer != nullptr) {
+  DMATCH_OBS(if (observer != nullptr && lead && !tripped_anywhere) {
     obs::ShardObs* const o = shards[0].obs;
     kernel::export_run_obs(*o, k_, rf, executed, run_start_clock, stats);
     // Engine-side half of the round-accounting cross-check (the full
     // check lives in core/verify): the profiler's curve tail must
-    // replicate RunStats.round_messages exactly.
-    const auto& curve = observer->profiler().round_messages();
-    DMATCH_ASSERT(curve.size() >= stats.round_messages.size());
-    const std::size_t tail = curve.size() - stats.round_messages.size();
-    for (std::size_t i = 0; i < stats.round_messages.size(); ++i) {
-      DMATCH_ASSERT(curve[tail + i] == stats.round_messages[i]);
+    // replicate RunStats.round_messages exactly. A split run's curve
+    // holds global sums its survivors' shares need not add up to.
+    if (barrier == nullptr) {
+      const auto& curve = observer->profiler().round_messages();
+      DMATCH_ASSERT(curve.size() >= stats.round_messages.size());
+      const std::size_t tail = curve.size() - stats.round_messages.size();
+      for (std::size_t i = 0; i < stats.round_messages.size(); ++i) {
+        DMATCH_ASSERT(curve[tail + i] == stats.round_messages[i]);
+      }
     }
     // Scheduling profile export. Wall-clock service times are inherently
     // non-deterministic, so this is opt-in: without sched.profile the

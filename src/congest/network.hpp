@@ -12,15 +12,20 @@
 // count is fixed at construction by the scheduler (one task per worker
 // under static and rapid-start dispatch, several blocks per worker under
 // work-stealing), and each round runs as step phase -> barrier -> route
-// phase. What a step does to a node is congest/kernel.hpp's; the Network
-// keeps the sharding, the dispatch, and the activity lanes that carry
-// deliveries between shards. Messages travel through port-indexed
-// mailbox slots (one slot per directed edge endpoint), so delivery is
-// always in ascending port order and no mutex sits on the hot path.
-// Per-node hot state (registers, RNGs, receive gates) lives in 64-byte-
-// aligned per-shard SoA slabs, so shards never share a cache line.
-// Results — matchings, RunStats, every per-node RNG draw — are
-// bit-identical for any Options::num_threads and any Options::sched mode.
+// phase. What a step does to a node is congest/kernel.hpp's; Network::run
+// is the one round driver around it (spawn, step, routing over the
+// activity lanes that carry deliveries between shards, rollback, round
+// accounting, close and obs export) for every executor that steps rounds
+// synchronously. A run split over several processes (mp::MpEngine) plugs
+// into it through a RoundBarrier, which names the nodes this process
+// steps and carries everything that crosses to the other processes.
+// Messages travel through port-indexed mailbox slots (one slot per
+// directed edge endpoint), so delivery is always in ascending port order
+// and no mutex sits on the hot path. Per-node hot state (registers, RNGs,
+// receive gates) lives in 64-byte-aligned per-shard SoA slabs, so shards
+// never share a cache line. Results — matchings, RunStats, every per-node
+// RNG draw — are bit-identical for any Options::num_threads and any
+// Options::sched mode.
 #pragma once
 
 #include <memory>
@@ -55,6 +60,61 @@ void heal_register_image(const Graph& g, std::vector<int>& reg,
 /// inconsistent (one-sided) registers, so callers heal first.
 [[nodiscard]] Matching extract_matching_from_image(const Graph& g,
                                                    std::span<const int> reg);
+
+/// Network::run's seam at the round barrier, for a run whose nodes are
+/// stepped by several processes (mp::MpEngine's ranks, one Network each).
+/// Process `part` of `parts` steps the nodes support::balanced_range(n,
+/// parts, part) only; everything that crosses to the other processes
+/// goes through these calls, a fixed number per round and none per
+/// message. Every process must call them in the same order.
+class RoundBarrier {
+ public:
+  /// What one process contributes at a barrier; summed over every process.
+  struct Counts {
+    std::uint64_t scheduled = 0;  // nodes scheduled for the next round
+    std::uint64_t parked = 0;     // deliveries waiting in delay rings
+    std::uint64_t msgs = 0;       // messages sent in the round just run
+    std::uint64_t bits = 0;       // their bits
+  };
+
+  /// This process's part of the balanced node partition. Part 0 records
+  /// the run- and round-level observability (round events and
+  /// histograms, the run's totals).
+  unsigned parts = 1;
+  unsigned part = 0;
+  /// Run-local round the run starts at (a rejoining process resumes
+  /// mid-run).
+  int first_round = 0;
+
+  /// Sum the counts of the freshly spawned run (before round first_round)
+  /// over every process: `counts` holds this process's on entry.
+  virtual void start(Counts& counts) = 0;
+  /// False stops this process before `round`, with no further call.
+  virtual bool proceed(int round) = 0;
+  /// Trade round `round`'s deliveries. `out[s * parts + p]` holds shard
+  /// s's deliveries for the nodes of process p, in send order; all are
+  /// shipped, unless this process `failed` its step, which aborts the
+  /// round instead. `in` receives batches of deliveries for this
+  /// process's nodes. Deliveries bound for a process that is gone count
+  /// into `stats.dropped_messages`. Returns false if any process aborts
+  /// the round.
+  virtual bool exchange(int round, bool failed,
+                        std::span<std::vector<kernel::LateMsg>> out,
+                        std::vector<std::vector<kernel::LateMsg>>& in,
+                        RunStats& stats) = 0;
+  /// Close round `round`: `counts` holds this process's on entry and the
+  /// sum over every process on return. `failed` = this process's route
+  /// phase threw, which aborts the round. Returns false if any process
+  /// aborts the round.
+  virtual bool settle(int round, bool failed, Counts& counts) = 0;
+  /// After the run: `stats` is this process's share (zeroed if it
+  /// `tripped`) and becomes what run() returns. Returns true if the run
+  /// tripped on any process whose share reached this one.
+  virtual bool finish(RunStats& stats, bool tripped) = 0;
+
+ protected:
+  ~RoundBarrier() = default;
+};
 
 class Network {
  public:
@@ -112,7 +172,15 @@ class Network {
   /// Run one protocol until every node halts with no message in flight, or
   /// until `max_rounds` rounds have executed. Returns the stats of this run
   /// and also accumulates them into total_stats().
-  RunStats run(const ProcessFactory& factory, int max_rounds);
+  ///
+  /// With a `barrier`, the run is one part of a run split over several
+  /// processes: only the barrier's part of the nodes is spawned and
+  /// stepped, and quiescence is global. A protocol contract trip anywhere
+  /// then rolls the round back and ends the run on every process without
+  /// throwing (barrier->finish learns of it); the failed round does not
+  /// count.
+  RunStats run(const ProcessFactory& factory, int max_rounds,
+               RoundBarrier* barrier = nullptr);
 
   /// Matching described by the nodes' output registers. Throws if the
   /// registers are inconsistent (one-sided pointers).
@@ -170,6 +238,13 @@ class Network {
     return options_.fault;
   }
   [[nodiscard]] bool fault_active() const noexcept { return k_.fault_active; }
+
+  /// Fault-stream nonce of the next run (0 at construction); every run
+  /// advances it by one. A process that replays rounds another process
+  /// already drew faults for (mp rejoin) re-keys them here.
+  void set_fault_nonce(std::uint64_t nonce) noexcept {
+    k_.fault_nonce = nonce;
+  }
 
   /// True if v is dead (crashed, not yet restarted) at the current
   /// lifetime round.

@@ -69,7 +69,10 @@ class ColorSampleProcess final : public Process {
         for (int p = 0; p < ctx.degree(); ++p) {
           const bool in = in_vhat_ && neighbor_in[static_cast<std::size_t>(p)] &&
                           neighbor_color_[static_cast<std::size_t>(p)] != color_;
-          if (in) {
+          // Both endpoints decide the same bit (fault-free, the only case
+          // anyone reads it); the lower id writes it, so no two shards
+          // write one entry.
+          if (in && id_ < ctx.neighbor_id(p)) {
             const EdgeId e =
                 g_->incident_edges(id_)[static_cast<std::size_t>(p)];
             edge_in_out_[static_cast<std::size_t>(e)] = true;

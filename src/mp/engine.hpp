@@ -1,9 +1,10 @@
 // Multi-process CONGEST round engine: one MpEngine instance per OS
 // process (rank), each owning a contiguous balanced node range of the
-// shared graph. A rank steps its nodes with the same kernel the
-// single-process Network uses (congest/kernel.hpp) and keeps only the
-// frame protocol, the failure detector, rejoin and rank-0 aggregation.
-// Cross-shard messages batch into per-peer buffers and
+// shared graph. A rank runs its rounds through the same driver as the
+// single-process engine — a congest::Network that spawns and steps only
+// the owned range — and supplies that driver's RoundBarrier: the frame
+// protocol, the failure detector, rejoin and rank-0 aggregation.
+// Deliveries for other ranks' nodes batch into per-peer buffers and
 // flush as one ROUND frame per peer at the round boundary; a tiny COUNT
 // frame broadcast then carries each rank's (scheduled, parked, sent)
 // counts, and the run quiesces when the global sum hits zero — the
@@ -22,8 +23,8 @@
 // crashed-at-detection, survivors exclude it from the quiescence sums,
 // heal the assembled registers and extract a verify-clean matching over
 // the surviving subgraph. A restarted worker can rejoin from its last
-// register checkpoint with an advanced fault-stream nonce (the PR 3
-// replay discipline). Termination is watchdog-bounded throughout: every
+// register checkpoint with an advanced fault-stream nonce, so replayed
+// rounds draw fresh faults. Termination is watchdog-bounded throughout: every
 // wait is deadline-bounded and rounds are capped by max_rounds.
 #pragma once
 
@@ -39,8 +40,6 @@
 #include "obs/obs.hpp"
 
 namespace dmatch::mp {
-
-struct ResumeFrame;
 
 struct MpOptions {
   congest::FaultPlan fault;
@@ -114,9 +113,6 @@ class MpEngine {
                           int max_rounds);
 
  private:
-  MpResult run_rounds(const congest::ProcessFactory& factory, int max_rounds,
-                      const ResumeFrame* resume);
-
   struct Impl;
   const Graph* g_;
   std::uint64_t seed_;

@@ -51,19 +51,11 @@ struct FrameHeader {
 [[nodiscard]] std::optional<FrameHeader> peek_header(
     std::span<const std::uint8_t> frame);
 
-/// One cross-shard message inside a ROUND frame. Ports and rounds are
-/// receiver-side: `dst` is owned by the destination rank, `port` is the
-/// arrival port, `deliver_round` the run-local round the message is due
-/// (> the frame's round for delayed/duplicated deliveries), and
-/// `origin_round` the round it was sent in (the delay ring's canonical
-/// ordering key).
-struct WireMsg {
-  NodeId dst = 0;
-  int port = 0;
-  int deliver_round = 0;
-  int origin_round = 0;
-  congest::Message msg;
-};
+/// One cross-shard message inside a ROUND frame: the kernel's delivery
+/// for a node another process steps. `dst` is owned by the destination
+/// rank; `deliver_round` exceeds the frame's round + 1 only for delayed
+/// and duplicated deliveries.
+using WireMsg = congest::kernel::LateMsg;
 
 struct RoundFrame {
   unsigned src = 0;

@@ -1,11 +1,17 @@
 # Keeps the synchronous round in one place (ctest label `lint`).
 #
-# Fails if a message-fault salt (kSaltDrop / kSaltDup / kSaltDelay /
-# kSaltReorder, amount salts included) or a class deriving from
+# Rule 1 fails if a message-fault salt (kSaltDrop / kSaltDup / kSaltDelay
+# / kSaltReorder, amount salts included) or a class deriving from
 # congest::Context appears in src/ outside the files that own them:
 # congest/fault.* (the plan and its hashes), congest/kernel.* (the one
 # step kernel and its EngineContext) and congest/resilient.cpp (the ARQ
 # wrapper's inner context, which has a different contract).
+#
+# Rule 2 keeps one round loop: outside congest/kernel.* and the one
+# driver, congest/network.cpp (Network::run), no file calls the
+# driver-only kernel entry points step_node, finish_route, advance_round
+# or close_run, or uses RoundRollback. A multi-process run plugs into
+# the driver through congest::RoundBarrier instead.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/lint_round_kernel.cmake
 if(NOT SRC_DIR)
@@ -21,24 +27,33 @@ endif()
 
 set(violations "")
 foreach(rel IN LISTS sources)
-  if(rel MATCHES "^congest/(fault|kernel)\\.[a-z]+$" OR
-     rel STREQUAL "congest/resilient.cpp")
-    continue()
-  endif()
   file(READ "${SRC_DIR}/${rel}" text)
-  if(text MATCHES "kSalt(Drop|Dup|Delay|Reorder)")
-    list(APPEND violations "${rel}: message-fault salt ${CMAKE_MATCH_0}")
+  if(NOT (rel MATCHES "^congest/(fault|kernel)\\.[a-z]+$" OR
+          rel STREQUAL "congest/resilient.cpp"))
+    if(text MATCHES "kSalt(Drop|Dup|Delay|Reorder)")
+      list(APPEND violations "${rel}: message-fault salt ${CMAKE_MATCH_0}")
+    endif()
+    # A class head whose base list names Context (also congest::Context).
+    if(text MATCHES
+       "(class|struct)[^;{}()]*:[^;{}()]*[: \t\r\n]Context[ \t\r\n]*[{,]")
+      list(APPEND violations "${rel}: class deriving from Context")
+    endif()
   endif()
-  # A class head whose base list names Context (also congest::Context).
-  if(text MATCHES
-     "(class|struct)[^;{}()]*:[^;{}()]*[: \t\r\n]Context[ \t\r\n]*[{,]")
-    list(APPEND violations "${rel}: class deriving from Context")
+  if(NOT (rel MATCHES "^congest/kernel\\.[a-z]+$" OR
+          rel STREQUAL "congest/network.cpp"))
+    if(text MATCHES
+       "(^|[^A-Za-z0-9_])(step_node|finish_route|advance_round|close_run)[ \t\r\n]*\\(")
+      list(APPEND violations "${rel}: round-driver call ${CMAKE_MATCH_2}()")
+    endif()
+    if(text MATCHES "RoundRollback")
+      list(APPEND violations "${rel}: RoundRollback outside the round driver")
+    endif()
   endif()
 endforeach()
 
 if(violations)
   list(JOIN violations "\n  " report)
   message(FATAL_ERROR
-          "per-node round semantics outside congest/kernel:\n  ${report}")
+          "round semantics outside congest/kernel and its driver:\n  ${report}")
 endif()
 message(STATUS "round kernel lint: ${checked} files clean")

@@ -468,6 +468,130 @@ TEST(MpIdentity, ForcedAbortRollsBackIdenticallyAcrossExecutors) {
   }
 }
 
+// --- link profiler: the ranks' profiles add up to the Network's -------
+
+/// What a link-profiled observer holds after some runs: the interleaved
+/// (messages, bits) count of every sender-side slot, and the per-round
+/// curves.
+struct LinkProfile {
+  std::vector<std::uint64_t> links;
+  std::vector<std::uint64_t> round_messages;
+  std::vector<std::uint64_t> round_bits;
+};
+
+/// `runs` runs on one single-threaded Network with a link-profiled
+/// observer; contract trips end a run, as in network_abort_runs.
+LinkProfile network_link_profile(const Graph& g, std::uint64_t seed,
+                                 const congest::ProcessFactory& factory,
+                                 const FaultPlan& plan, int runs) {
+  obs::Observer observer;  // ObsConfig profiles links by default
+  congest::Network::Options options;
+  options.num_threads = 1;
+  options.fault = plan;
+  options.observer = &observer;
+  congest::Network net(g, congest::Model::kCongest, seed, 48, options);
+  for (int run = 0; run < runs; ++run) {
+    try {
+      (void)net.run(factory, kBudget);
+    } catch (const congest::MessageTooLarge&) {
+    }
+  }
+  const obs::CongestionProfiler& p = observer.profiler();
+  return {p.snapshot_links().link, p.round_messages(), p.round_bits()};
+}
+
+/// `runs` runs on the same `procs` loopback ranks, each with its own
+/// link-profiled observer: the ranks' link arrays summed element-wise,
+/// and rank 0's round curves.
+LinkProfile mp_link_profile(const Graph& g, std::uint64_t seed,
+                            const congest::ProcessFactory& factory,
+                            const FaultPlan& plan, int runs, unsigned procs) {
+  mp::LoopbackHub hub(procs);
+  std::vector<std::unique_ptr<obs::Observer>> observers;
+  std::vector<std::unique_ptr<mp::MpEngine>> engines;
+  for (unsigned r = 0; r < procs; ++r) {
+    observers.push_back(std::make_unique<obs::Observer>());
+    mp::MpOptions options;
+    options.fault = plan;
+    options.observer = observers[r].get();
+    engines.push_back(std::make_unique<mp::MpEngine>(
+        g, congest::Model::kCongest, seed, 48, hub.endpoint(r), options));
+  }
+  for (int run = 0; run < runs; ++run) {
+    std::vector<std::thread> threads;
+    for (unsigned r = 0; r < procs; ++r) {
+      threads.emplace_back([&, r] { (void)engines[r]->run(factory, kBudget); });
+    }
+    for (auto& t : threads) t.join();
+  }
+  LinkProfile sum;
+  for (const auto& o : observers) {
+    const std::vector<std::uint64_t> links =
+        o->profiler().snapshot_links().link;
+    sum.links.resize(std::max(sum.links.size(), links.size()), 0);
+    for (std::size_t i = 0; i < links.size(); ++i) sum.links[i] += links[i];
+  }
+  sum.round_messages = observers[0]->profiler().round_messages();
+  sum.round_bits = observers[0]->profiler().round_bits();
+  return sum;
+}
+
+TEST(MpObsIdentity, LinkProfileSumsToNetwork) {
+  struct Case {
+    std::string name;
+    Graph g;
+    std::uint64_t seed;
+    congest::ProcessFactory factory;
+    FaultPlan plan;
+    int runs;
+  };
+  FaultPlan drops;
+  drops.drop_prob = 0.1;
+  drops.seed = 17;
+  // The forced-abort case: an over-cap send at round 3 from rank 1's
+  // range under a drop plan, so every run rolls a link-profiled round
+  // back.
+  const Graph trip_g = gen::gnp(40, 4.0 / 40, 67);
+  const auto rank1 = support::balanced_range(trip_g.node_count(), 2, 1);
+  NodeId thrower = kNoNode;
+  for (auto v = static_cast<NodeId>(rank1.begin); thrower == kNoNode; ++v) {
+    ASSERT_LT(static_cast<std::size_t>(v), rank1.end);
+    if (v % 5 != 0 && trip_g.degree(v) > 0) thrower = v;
+  }
+  const congest::ProcessFactory trip =
+      [thrower](NodeId v, const Graph&) -> std::unique_ptr<congest::Process> {
+    if (v % 5 == 0) return nullptr;  // parked
+    return std::make_unique<TripProcess>(v == thrower);
+  };
+  FaultPlan trip_plan;
+  trip_plan.drop_prob = 0.1;
+  trip_plan.seed = 71;
+  const std::vector<Case> cases = {
+      {"ii", gen::gnp(48, 3.0 / 48, 29), 29, israeli_itai_factory(),
+       FaultPlan{}, 1},
+      {"ii-drops", gen::gnp(64, 3.0 / 64, 11), 11, israeli_itai_factory(),
+       drops, 1},
+      {"trip", trip_g, 67, trip, trip_plan, 2},
+  };
+  for (const Case& c : cases) {
+    const LinkProfile ref =
+        network_link_profile(c.g, c.seed, c.factory, c.plan, c.runs);
+    std::uint64_t messages = 0;
+    for (std::size_t i = 0; i < ref.links.size(); i += 2) {
+      messages += ref.links[i];
+    }
+    EXPECT_GT(messages, 0u) << c.name;
+    for (const unsigned procs : {1u, 2u, 4u}) {
+      const std::string tag = c.name + " procs=" + std::to_string(procs);
+      const LinkProfile got =
+          mp_link_profile(c.g, c.seed, c.factory, c.plan, c.runs, procs);
+      EXPECT_EQ(got.links, ref.links) << tag;
+      EXPECT_EQ(got.round_messages, ref.round_messages) << tag;
+      EXPECT_EQ(got.round_bits, ref.round_bits) << tag;
+    }
+  }
+}
+
 // --- TCP transport ---------------------------------------------------
 
 TEST(TcpTransport, RoundTripFifoTimeoutAndClose) {

@@ -2,8 +2,11 @@
 // count. The round engine is a BSP superstep executor; this bench measures
 // raw engine scaling (a fixed-round flooding protocol, so algorithmic
 // randomness does not perturb the work per round) on G(n, p) with constant
-// expected degree 8, n in {1e4, 1e5}. Alongside the table it emits one
-// machine-readable JSON line per configuration for plotting/CI tracking.
+// expected degree 8, n in {1e4, 1e5}, and on a Barabasi-Albert graph of
+// the same n and average degree, whose hubs give a few shards far more
+// messages to route than the rest (the skew work stealing absorbs).
+// Alongside the table it emits one machine-readable JSON line per
+// configuration for plotting/CI tracking.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -83,10 +86,18 @@ int main() {
   if (hw > 4) thread_counts.push_back(hw);
 
   bench::JsonReport report("round_engine");
-  Table table({"n", "threads", "rounds", "messages", "seconds",
+  Table table({"graph", "n", "threads", "rounds", "messages", "seconds",
                "node steps/s", "speedup vs 1T"});
-  for (const NodeId n : {10000, 100000}) {
-    const Graph g = gen::gnp(n, 8.0 / n, 7);
+  struct Instance {
+    const char* family;
+    NodeId n;
+  };
+  for (const Instance& inst : {Instance{"gnp", 10000}, Instance{"gnp", 100000},
+                               Instance{"ba", 100000}}) {
+    const NodeId n = inst.n;
+    const std::string family = inst.family;
+    const Graph g = family == "ba" ? gen::barabasi_albert(n, 4, 7)
+                                   : gen::gnp(n, 8.0 / n, 7);
     double base_seconds = 0;
     for (const unsigned threads : thread_counts) {
       // Warm-up run builds the pool and faults in the mailboxes; the
@@ -99,6 +110,7 @@ int main() {
       const double steps_per_sec = steps / s.seconds;
       const double speedup = base_seconds / s.seconds;
       table.row()
+          .cell(family)
           .cell(std::int64_t{n})
           .cell(std::int64_t{threads})
           .cell(static_cast<std::int64_t>(s.stats.rounds))
@@ -107,7 +119,8 @@ int main() {
           .cell(steps_per_sec, 0)
           .cell(speedup, 2);
       std::ostringstream cell;
-      cell << "{\"bench\":\"round_engine\",\"n\":" << n
+      cell << "{\"bench\":\"round_engine\",\"graph\":\"" << family
+           << "\",\"n\":" << n
            << ",\"threads\":" << threads << ",\"rounds\":" << s.stats.rounds
            << ",\"messages\":" << s.stats.messages
            << ",\"seconds\":" << s.seconds
@@ -126,7 +139,8 @@ int main() {
   bench::footer(
       "Reading: node steps/s should scale with threads up to the machine's "
       "core count (speedup >= 2x at 4 threads on n = 1e5 when >= 4 cores "
-      "are available); identical `rounds`/`messages` columns across thread "
-      "counts witness the engine's determinism contract.");
+      "are available), on the skewed-degree ba rows too; identical "
+      "`rounds`/`messages` columns across thread counts witness the "
+      "engine's determinism contract.");
   return 0;
 }

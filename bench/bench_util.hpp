@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/sched.hpp"
-
 namespace dmatch::bench {
 
 /// Standard experiment banner: ties a binary to its EXPERIMENTS.md entry.
@@ -25,8 +23,8 @@ inline void footer(const std::string& reading) {
 }
 
 /// First line of `cmd`'s stdout, "" on any failure.
-inline std::string shell_line(const char* cmd) {
-  FILE* pipe = ::popen(cmd, "r");
+inline std::string shell_line(const std::string& cmd) {
+  FILE* pipe = ::popen(cmd.c_str(), "r");
   if (pipe == nullptr) return "";
   char buf[256] = {};
   std::string out;
@@ -38,19 +36,15 @@ inline std::string shell_line(const char* cmd) {
   return out;
 }
 
-/// JSON object describing the machine and scheduler configuration a bench
-/// ran under. Every BENCH_*.json embeds one as its "machine" key so a
-/// result file is interpretable without knowing which box produced it
-/// (timing numbers from a 1-core CI container and a 32-core workstation
-/// are not comparable; the determinism columns are).
-inline std::string machine_context_json(
-    const support::SchedOptions& sched = {}) {
+/// JSON object describing the machine a bench ran on. Every BENCH_*.json
+/// embeds one as its "machine" key so a result file is interpretable
+/// without knowing which box produced it (timing numbers from a 1-core CI
+/// container and a 32-core workstation are not comparable; the
+/// determinism columns are).
+inline std::string machine_context_json() {
   std::ostringstream o;
   o << "{\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-    << ", \"pinning_supported\": "
-    << (support::Scheduler::pinning_supported() ? "true" : "false")
-    << ", \"sched_mode\": \"" << support::to_string(sched.mode) << "\""
-    << ", \"pin_threads\": " << (sched.pin_threads ? "true" : "false") << "}";
+    << "}";
   return o.str();
 }
 
@@ -78,8 +72,10 @@ double min_seconds(F&& body, int reps = 5, int warmup = 1) {
 /// cell and writes `BENCH_<name>.json` at the repo root (where
 /// tools/regen_experiments.py picks it up), schema
 /// `{"bench": ..., "commit": ..., "cells": [...]}`. The commit is read
-/// from git at run time; if the binary runs outside the work tree the
-/// file lands in the current directory with an empty commit instead.
+/// from git at run time, suffixed `-dirty` when tracked files other than
+/// the BENCH_*.json results differ from it; if the binary runs outside
+/// the work tree the file lands in the current directory with an empty
+/// commit instead.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
@@ -88,24 +84,20 @@ class JsonReport {
   /// (typically the same text the bench prints as a JSON line).
   void cell(const std::string& json_object) { cells_.push_back(json_object); }
 
-  /// Override the embedded machine context (e.g. to record the sched
-  /// mode / pinning the bench actually ran with). Defaults to
-  /// machine_context_json({}).
-  void set_machine(std::string json_object) {
-    machine_ = std::move(json_object);
-  }
-
   /// Write the file; returns the path written ("" on failure).
   std::string write() const {
     const std::string root = shell_line("git rev-parse --show-toplevel 2>/dev/null");
-    const std::string commit = shell_line("git rev-parse --short HEAD 2>/dev/null");
+    std::string commit = shell_line("git rev-parse --short HEAD 2>/dev/null");
+    const std::string changed = shell_line(
+        "git -C '" + root + "' status --porcelain --untracked-files=no -- " +
+        "':(exclude)BENCH_*.json' 2>/dev/null");
+    if (!commit.empty() && !changed.empty()) commit += "-dirty";
     const std::string path =
         (root.empty() ? std::string{} : root + "/") + "BENCH_" + name_ + ".json";
     std::ofstream out(path);
     if (!out.good()) return "";
     out << "{\"bench\": \"" << name_ << "\", \"commit\": \"" << commit
-        << "\",\n \"machine\": "
-        << (machine_.empty() ? machine_context_json() : machine_)
+        << "\",\n \"machine\": " << machine_context_json()
         << ",\n \"cells\": [\n";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       out << "  " << cells_[i] << (i + 1 < cells_.size() ? "," : "") << "\n";
@@ -116,7 +108,6 @@ class JsonReport {
 
  private:
   std::string name_;
-  std::string machine_;
   std::vector<std::string> cells_;
 };
 

@@ -111,10 +111,10 @@ class AlphaSynchronizerRun {
             ? options.num_threads
             : std::max(1u, std::thread::hardware_concurrency());
     const auto n = static_cast<std::size_t>(g.node_count());
-    dispatcher_ = std::make_unique<support::Scheduler>(threads, options.sched);
+    dispatcher_ = std::make_unique<support::Scheduler>(threads);
     // Shard geometry is frozen from the scheduler's task plan before any
-    // event executes; results are shard-layout independent, so modes
-    // with different shard counts still agree bit for bit.
+    // event executes; results are shard-layout independent, so thread
+    // counts with different shard counts still agree bit for bit.
     num_shards_ = dispatcher_->plan_tasks(n);
     n_ = n;
     shards_.resize(num_shards_);

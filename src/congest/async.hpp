@@ -18,9 +18,10 @@
 // Network for the same node RNG streams -- asserted by the test suite.
 //
 // Execution model (see docs/PROTOCOLS.md, "Sharded async executor"):
-// nodes are partitioned into contiguous shards dispatched through a
-// support::Scheduler, and each shard owns a local event queue ordered
-// by the canonical event key (timestamp, destination, kind, port,
+// nodes are partitioned into contiguous shards (one at one thread, four
+// per worker otherwise) that the work-stealing support::Scheduler
+// dispatches, and each shard owns a local event queue ordered by the
+// canonical event key (timestamp, destination, kind, port,
 // round, synthetic-copy flag). Per-event delivery delays are pure
 // hashes of that key, never draws from a shared stream, and the
 // executor advances in conservative time windows of width `min_delay`:
@@ -75,11 +76,6 @@ struct AsyncOptions {
   /// 1 = fully sequential (no OS threads are created). Any value
   /// produces bit-identical runs.
   unsigned num_threads = 1;
-  /// Scheduling mode / pinning / profiling for the wave dispatcher (see
-  /// support/sched.hpp). Like num_threads, every mode is bit-identical:
-  /// shard geometry is frozen from the scheduler's task plan before the
-  /// first event executes, and all cross-shard merges are canonical.
-  support::SchedOptions sched;
   /// Fault plan with the round engine's semantics. Inactive by default.
   FaultPlan fault;
   /// Observability sink (not owned; must outlive the run). Virtual

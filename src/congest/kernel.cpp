@@ -202,8 +202,17 @@ void State::end_run(const RunFrame& rf, int executed) {
   lifetime_rounds = rf.life_round(executed);
 }
 
-void RoundRollback::capture(const State& k,
-                            [[maybe_unused]] obs::Observer* observer,
+void State::undo_steps(ShardRun& sh) {
+  for (const NodeUndo& u : sh.undo) {
+    const auto vi = static_cast<std::size_t>(u.v);
+    sh.regs[vi] = u.reg;
+    sh.rngs[vi] = u.rng;
+    restart_cleared[vi] = u.restart_cleared;
+  }
+  sh.undo.clear();
+}
+
+void RoundRollback::capture([[maybe_unused]] obs::Observer* observer,
                             [[maybe_unused]] unsigned shards,
                             [[maybe_unused]] bool profiled) {
 #ifndef DMATCH_OBS_DISABLED
@@ -216,14 +225,11 @@ void RoundRollback::capture(const State& k,
     if (profiled) links_ = observer->profiler().snapshot_links();
   }
 #endif
-  k.reg.copy_to(regs_);
 }
 
-void RoundRollback::restore(State& k,
-                            [[maybe_unused]] obs::Observer* observer,
+void RoundRollback::restore([[maybe_unused]] obs::Observer* observer,
                             [[maybe_unused]] unsigned shards,
                             [[maybe_unused]] bool profiled) {
-  k.reg.assign_from(regs_);
 #ifndef DMATCH_OBS_DISABLED
   if (observer != nullptr) {
     observer->metrics().restore(metrics_);

@@ -11,8 +11,8 @@
 //     A run split over processes (mp::MpEngine, one Network per rank)
 //     steps only its rank's range and trades the rest through the
 //     loop's RoundBarrier: ROUND frames, COUNT sums, aborts. Only that
-//     loop calls step_node, finish_route, advance_round and close_run
-//     or uses RoundRollback (a `lint` test enforces it);
+//     loop calls step_node, finish_route, advance_round, close_run and
+//     undo_steps or uses RoundRollback (a `lint` test enforces it);
 //   * the alpha-synchronizer executor (congest/async.cpp) keeps its
 //     event queue and synchronizer and takes EngineContext,
 //     message_fate and reorder_inbox from here.
@@ -23,8 +23,9 @@
 // inbox gather from the port slots and the delay ring, the seeded
 // reorder, on_round, and each sent message's fault fate handed to a
 // delivery sink; the route phase's delay-ring and restart wake-ups;
-// rollback of an aborted round (RoundRollback); and the end-of-run
-// crash and observability accounting. Everything on the per-message
+// rollback of an aborted round (the shards' undo logs, undo_steps and
+// RoundRollback); and the end-of-run crash and observability
+// accounting. Everything on the per-message
 // path is header-inline and the sink is a template parameter, so a
 // delivery costs no std::function or virtual call.
 //
@@ -357,6 +358,15 @@ struct RunFrame {
   }
 };
 
+/// A node's own state as it was before its step in the current round:
+/// everything a step can change that outlives the run.
+struct NodeUndo {
+  NodeId v = 0;
+  int reg = -1;
+  char restart_cleared = 0;
+  Rng rng{0};
+};
+
 /// One shard's (or one rank's) state for a run. Everything here has
 /// exactly one writer — the worker stepping and routing the shard.
 struct ShardRun {
@@ -371,6 +381,10 @@ struct ShardRun {
   // phase.
   std::vector<std::vector<LateMsg>> ring;
   std::uint64_t pending_extras = 0;  // entries parked across all buckets
+  // Faulty runs only: the nodes stepped this round, as they were before
+  // their step, so an aborted round can be undone (State::undo_steps).
+  // The round loop clears it when the shard's step phase begins.
+  std::vector<NodeUndo> undo;
   // Globally indexed views of this shard's slab segments, and its
   // observability handle (nullptr = unobserved). Set by State::bind.
   int* regs = nullptr;
@@ -476,6 +490,12 @@ struct State {
   /// buffers so no stale message or scheduling mark leaks into a later
   /// run, and advance the lifetime clock by the executed rounds.
   void end_run(const RunFrame& rf, int executed);
+  /// Abort a round under an active plan: write back the register, RNG
+  /// stream and restart flag of every node `sh` stepped this round from
+  /// its undo log. Which nodes stepped before the abort depends on the
+  /// layout and on timing; after this, nothing of it shows. Costs one
+  /// entry per stepped node, nothing per idle one.
+  void undo_steps(ShardRun& sh);
 
   [[nodiscard]] bool dead_at(NodeId v, std::uint64_t round) const noexcept {
     const auto vi = static_cast<std::size_t>(v);
@@ -551,6 +571,7 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
       }
       return;
     }
+    sh.undo.push_back({v, sh.regs[vi], restart_cleared[vi], sh.rngs[vi]});
     if (respawn_pending[vi]) {
       // Crash-restart: fresh protocol state, cleared register.
       respawn_pending[vi] = 0;
@@ -639,21 +660,20 @@ void State::step_node(ShardRun& sh, const RunFrame& rf, int round, NodeId v,
   }
 }
 
-/// Round-start snapshot of everything an aborted round must not leak
-/// under an active plan, where a protocol's invariants may legitimately
-/// break: the register file and, when observed, the metrics slabs, the
+/// Round-start snapshot of the observer under an active plan, where a
+/// protocol's invariants may legitimately break: the metrics slabs, the
 /// per-shard trace marks and the link profile. Shards step independently
-/// until the barrier, so an aborted round's partial writes depend on the
-/// layout; restoring the snapshot makes every abort layout-independent.
+/// until the barrier, and a failed step stops the others early, so what
+/// an aborted round recorded depends on the layout and on timing;
+/// restoring the snapshot, with State::undo_steps for the nodes' own
+/// state, makes every abort, and every later run on the same State,
+/// independent of both.
 class RoundRollback {
  public:
-  void capture(const State& k, obs::Observer* observer, unsigned shards,
-               bool profiled);
-  void restore(State& k, obs::Observer* observer, unsigned shards,
-               bool profiled);
+  void capture(obs::Observer* observer, unsigned shards, bool profiled);
+  void restore(obs::Observer* observer, unsigned shards, bool profiled);
 
  private:
-  std::vector<int> regs_;
 #ifndef DMATCH_OBS_DISABLED
   std::vector<std::vector<std::uint64_t>> metrics_;
   std::vector<obs::TraceSink::Mark> marks_;

@@ -32,10 +32,9 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
   sched_ = std::make_unique<support::Scheduler>(num_threads_, options_.sched);
-  // Shard count is frozen here: one shard per worker under static and
-  // rapid-start dispatch, several stealable blocks per worker under
-  // work-stealing. Results are shard-layout independent, so modes with
-  // different shard counts still produce bit-identical runs.
+  // Shard count is frozen here: one shard at one thread, several
+  // stealable blocks per worker otherwise. Results are shard-layout
+  // independent, so every thread count produces bit-identical runs.
   num_shards_ = sched_->plan_tasks(n);
 
   // The slot-offset prefix sums stay sequential (a scan), but the
@@ -178,6 +177,7 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
   int executed = first_round;
   const auto step_shard = [&](unsigned s) {
     ShardState& shard = shards[s];
+    shard.undo.clear();
     LaneSink sink{k_,   s,          executed,    lo,      hi - lo,
                   lane, fault_lane, remote_lane, shard_of};
     try {
@@ -263,7 +263,7 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
     })
     // Snapshot before emitting anything, so an aborted round rolls back
     // to a state with no trace of the round at all.
-    if (faults) rollback.capture(k_, observer, num_shards, profiled);
+    if (faults) rollback.capture(observer, num_shards, profiled);
     DMATCH_OBS(if (observer != nullptr && lead) {
       shards[0].obs->trace(obs::EventType::kRoundStart, 0, global.scheduled);
     })
@@ -293,7 +293,10 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
       if (barrier != nullptr) ok = barrier->settle(executed, !ok, global);
     }
     if (!ok) {
-      if (faults) rollback.restore(k_, observer, num_shards, profiled);
+      if (faults) {
+        for (ShardState& shard : shards) k_.undo_steps(shard);
+        rollback.restore(observer, num_shards, profiled);
+      }
       tripped = true;
       break;
     }
@@ -357,7 +360,7 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
     // Scheduling profile export. Wall-clock service times are inherently
     // non-deterministic, so this is opt-in: without sched.profile the
     // deterministic-artifact guarantee (byte-identical traces/metrics
-    // across thread counts and modes) holds unconditionally.
+    // across thread counts) holds unconditionally.
     if (options_.sched.profile) {
       const auto& service = sched_->task_service_ns();
       for (unsigned t = 0; t < num_shards && t < service.size(); ++t) {

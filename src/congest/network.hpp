@@ -9,13 +9,13 @@
 //
 // Rounds execute on a sharded engine (see docs/PROTOCOLS.md, "Round
 // engine"): nodes are partitioned into contiguous balanced shards whose
-// count is fixed at construction by the scheduler (one task per worker
-// under static and rapid-start dispatch, several blocks per worker under
-// work-stealing), and each round runs as step phase -> barrier -> route
-// phase. What a step does to a node is congest/kernel.hpp's; Network::run
-// is the one round driver around it (spawn, step, routing over the
-// activity lanes that carry deliveries between shards, rollback, round
-// accounting, close and obs export) for every executor that steps rounds
+// count is fixed at construction by the scheduler's plan (one shard at
+// one thread, four per worker otherwise, dispatched by work stealing),
+// and each round runs as step phase -> barrier -> route phase. What a
+// step does to a node is congest/kernel.hpp's; Network::run is the one
+// round driver around it (spawn, step, routing over the activity lanes
+// that carry deliveries between shards, rollback, round accounting,
+// close and obs export) for every executor that steps rounds
 // synchronously. A run split over several processes (mp::MpEngine) plugs
 // into it through a RoundBarrier, which names the nodes this process
 // steps and carries everything that crosses to the other processes.
@@ -24,8 +24,8 @@
 // and no mutex sits on the hot path. Per-node hot state (registers, RNGs,
 // receive gates) lives in 64-byte-aligned per-shard SoA slabs, so shards
 // never share a cache line. Results — matchings, RunStats, every per-node
-// RNG draw — are bit-identical for any Options::num_threads and any
-// Options::sched mode.
+// RNG draw — are bit-identical for any Options::num_threads, and so for
+// any shard count and any order in which the workers run the shards.
 #pragma once
 
 #include <memory>
@@ -123,12 +123,10 @@ class Network {
     /// 1 = fully sequential (no OS threads are created). Any value
     /// produces bit-identical runs.
     unsigned num_threads = 0;
-    /// Scheduling mode, pinning and profiling knobs for the round
-    /// engine's dispatcher (see support/sched.hpp). Every mode produces
-    /// bit-identical runs; `sched.profile` additionally records
-    /// wall-clock shard service times and, with an observer attached,
+    /// `sched.profile` records the dispatcher's wall-clock shard service
+    /// times (see support/sched.hpp) and, with an observer attached,
     /// emits them as (non-deterministic) kSchedShard trace events and a
-    /// sched.shard_service_ns histogram.
+    /// sched.shard_service_ns histogram. Results are unchanged.
     support::SchedOptions sched;
     /// Fault-injection plan. The default (inactive) plan leaves the
     /// engine byte-for-byte identical to the fault-free build; an active
@@ -163,8 +161,8 @@ class Network {
   /// >= 1). Equals the scheduler's task plan for node_count() items.
   [[nodiscard]] unsigned num_shards() const noexcept { return num_shards_; }
 
-  /// The engine's dispatcher. Exposes the scheduling options and, when
-  /// Options::sched.profile is set, per-shard service-time counters.
+  /// The engine's dispatcher. Exposes, when Options::sched.profile is
+  /// set, per-shard service-time counters.
   [[nodiscard]] const support::Scheduler& scheduler() const noexcept {
     return *sched_;
   }

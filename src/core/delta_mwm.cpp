@@ -126,7 +126,6 @@ DeltaMwmResult class_greedy_mwm(const Graph& g,
 
   congest::Network::Options net_options;
   net_options.num_threads = options.num_threads;
-  net_options.sched = options.sched;
   net_options.fault = options.fault;
   net_options.observer = options.observer;
   congest::Network net(g, congest::Model::kCongest, options.seed,
@@ -176,7 +175,6 @@ DeltaMwmResult locally_dominant_mwm(const Graph& g,
   result.delta_guarantee = 0.5;
   congest::Network::Options net_options;
   net_options.num_threads = options.num_threads;
-  net_options.sched = options.sched;
   net_options.fault = options.fault;
   net_options.observer = options.observer;
   congest::Network net(g, congest::Model::kCongest, options.seed,

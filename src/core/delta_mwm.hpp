@@ -41,9 +41,6 @@ struct DeltaMwmOptions {
   congest::FaultPlan fault;
   /// Round-engine worker count for the box network (0 = hardware).
   unsigned num_threads = 0;
-  /// Scheduling policy for the box network (mode, pinning, steal
-  /// granularity). Results are identical across modes.
-  support::SchedOptions sched;
   /// ARQ tuning for the resilient link layer (fault mode only).
   congest::ResilientOptions arq;
   /// Observability sink for the box's private network (not owned).

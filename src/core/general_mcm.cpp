@@ -118,7 +118,6 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& options) {
   congest::Network main_net(g, congest::Model::kCongest, options.seed,
                             options.congest_factor,
                             {.num_threads = options.num_threads,
-                             .sched = options.sched,
                              .fault = options.fault,
                              .observer = options.observer});
   DMATCH_OBS(obs::Observer* const ob = main_net.observer();)
@@ -208,7 +207,6 @@ GeneralMcmResult general_mcm(const Graph& g, const GeneralMcmOptions& options) {
       Graph::Subgraph sub = g.edge_subgraph(keep);
       congest::Network::Options hat_opts;
       hat_opts.num_threads = options.num_threads;
-      hat_opts.sched = options.sched;
       hat_opts.observer = options.observer;
       if (faulty) {
         // The Aug networks keep suffering message faults (fresh derived

@@ -33,9 +33,6 @@ struct GeneralMcmOptions {
   std::uint32_t congest_factor = 48;
   /// Worker count for the simulated networks (0 = hardware concurrency).
   unsigned num_threads = 0;
-  /// Scheduling policy (mode, pinning, steal granularity) for the main
-  /// and Aug networks. Results are identical across modes.
-  support::SchedOptions sched;
   /// Fault plan for the main network. Subsidiary Aug networks inherit the
   /// message-fault probabilities (with a fresh derived seed per iteration)
   /// and the nodes already dead on the main network as scheduled crashes.

@@ -125,7 +125,6 @@ HalfMwmResult half_mwm(const Graph& g, const HalfMwmOptions& options) {
   congest::Network main_net(g, congest::Model::kCongest, options.seed,
                             options.congest_factor,
                             {.num_threads = options.num_threads,
-                             .sched = options.sched,
                              .fault = options.fault,
                              .observer = options.observer});
   DMATCH_OBS(obs::Observer* const ob = main_net.observer();)
@@ -195,7 +194,6 @@ HalfMwmResult half_mwm(const Graph& g, const HalfMwmOptions& options) {
     box.seed = driver_rng();
     box.congest_factor = options.congest_factor;
     box.num_threads = options.num_threads;
-    box.sched = options.sched;
     box.arq = options.arq;
     box.observer = options.observer;
     if (faulty) {

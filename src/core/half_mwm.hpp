@@ -41,9 +41,6 @@ struct HalfMwmOptions {
   /// Worker count for the main simulated network (0 = hardware
   /// concurrency).
   unsigned num_threads = 0;
-  /// Scheduling policy for the main network, propagated into the black
-  /// box. Results are identical across modes.
-  support::SchedOptions sched;
   /// Fault plan for the whole driver. The main network (gain exchange +
   /// wrap application) and the delta-MWM black box's private gain-graph
   /// network both run under this plan: the gain graph preserves the

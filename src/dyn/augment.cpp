@@ -15,7 +15,7 @@ namespace {
 
 /// Color draw for iteration `iter`: a pure splitmix-style hash of
 /// (seed, epoch, iter, node). Host-side and order-free, so the sampled
-/// G^ is identical across thread counts, sched modes and region
+/// G^ is identical across thread counts, shard counts and region
 /// enumeration order — the property the bit-identity tests pin down.
 std::uint8_t color_draw(std::uint64_t seed, std::uint64_t epoch,
                         std::uint64_t iter, NodeId v) {

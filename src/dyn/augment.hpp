@@ -9,7 +9,7 @@
 //
 //  * colors are drawn host-side as a pure hash of (seed, epoch,
 //    iteration, node) — deterministic regardless of region enumeration
-//    order, thread count or sched mode — and the shortest leftover path
+//    order, thread count or shard count — and the shortest leftover path
 //    (known from the gating oracle) is overridden with the alternating
 //    pattern, so each iteration provably augments at least one path
 //    while the hash colors diversify which other paths join it;

@@ -57,8 +57,9 @@ RepairEngine::RepairEngine(Graph initial, RepairOptions opts)
 void RepairEngine::rebuild_network() {
   congest::Network::Options no;
   no.num_threads = opts_.num_threads;
-  no.sched = opts_.sched;
   DMATCH_OBS(no.observer = opts_.observer;)
+  // Release the old engine first, so a rebuild never holds two.
+  net_.reset();
   net_ = std::make_unique<congest::Network>(
       g_.universe(), congest::Model::kCongest,
       fork_seed(opts_.seed, g_.generation()), 48, no);

@@ -34,9 +34,8 @@
 //
 // Everything that decides state — epoch boundaries, BFS order, the
 // full-vs-incremental choice, the engine run itself — is deterministic,
-// so the whole service trajectory is bit-identical across thread counts
-// and sched modes; wall-clock enters only the latency fields of the
-// EpochReport.
+// so the whole service trajectory is bit-identical across thread counts;
+// wall-clock enters only the latency fields of the EpochReport.
 #pragma once
 
 #include <memory>
@@ -74,7 +73,6 @@ struct RepairOptions {
   /// deterministically). Budget exhaustion triggers the full fallback.
   int round_budget = 1 << 16;
   unsigned num_threads = 1;
-  support::SchedOptions sched;
   obs::Observer* observer = nullptr;  // not owned; may be nullptr
   /// Certify every epoch against core/verify on a fresh live snapshot
   /// (O(n + m) + exact optimum; for tests and demos, not the hot path).

@@ -80,7 +80,7 @@ struct MpEngine::Impl final : congest::RoundBarrier {
         options(e.options_),
         n(static_cast<std::size_t>(g.node_count())),
         net(g, model, seed, congest_factor,
-            {.num_threads = 1, .sched = {}, .fault = e.options_.fault,
+            {.num_threads = 1, .fault = e.options_.fault,
              .observer = e.options_.observer}),
         lo(e.lo_),
         hi(e.hi_),

@@ -53,7 +53,7 @@ struct ObsConfig {
   /// Bounded-memory tracing: keep only the (canonically) newest
   /// `trace_capacity` events across the whole sink, compacted by the
   /// driver at committed round boundaries. 0 = unbounded. The retained
-  /// set is byte-identical across thread counts and sched modes for the
+  /// set is byte-identical across thread counts and shard counts for the
   /// same cap, and capped traces agree with uncapped ones on every
   /// retained event.
   std::size_t trace_capacity = 0;

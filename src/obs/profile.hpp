@@ -21,7 +21,7 @@
 // only its own slab (single-writer, no atomics); slabs are merged by
 // summation at export, and the column of a slot is a pure hash of the
 // slot id — both commutative and layout-free, so sketch reports are
-// byte-identical across thread counts and sched modes just like exact
+// byte-identical across thread counts and shard counts just like exact
 // ones. Point estimates are the classic CMS per-row minimum: never
 // under the true count, over it only on (deterministic) collisions.
 #pragma once

@@ -86,7 +86,7 @@ class TraceSink {
   // and only the newest `capacity()` events survive. Because both the
   // merged multiset and the compaction trigger (total retained count at
   // a round boundary) are pure functions of the run, the retained set is
-  // byte-identical across thread counts and sched modes — the same
+  // byte-identical across thread counts (and shard counts) — the same
   // layout-independence contract as unbounded traces, with memory
   // bounded by ~2x the cap plus one round's burst.
   struct alignas(64) ShardBuf {

@@ -2,94 +2,30 @@
 
 #include <chrono>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace dmatch::support {
-
-std::optional<SchedMode> parse_sched_mode(std::string_view name) noexcept {
-  if (name == "static") return SchedMode::kStatic;
-  if (name == "steal" || name == "work-steal" || name == "worksteal") {
-    return SchedMode::kWorkSteal;
-  }
-  if (name == "rapid" || name == "rapid-start" || name == "rapidstart") {
-    return SchedMode::kRapidStart;
-  }
-  return std::nullopt;
-}
 
 Scheduler::Scheduler(unsigned num_threads, SchedOptions options)
     : workers_(num_threads == 0 ? 1 : num_threads), options_(options) {
-  if (options_.steal_blocks_per_worker == 0) {
-    options_.steal_blocks_per_worker = 1;
-  }
-  if (workers_ > 1) {
-    if (options_.mode == SchedMode::kRapidStart) {
-      wake_ = std::make_unique<WakeCell[]>(workers_);
-    }
-    threads_.reserve(workers_ - 1);
-    for (unsigned w = 1; w < workers_; ++w) {
-      if (options_.mode == SchedMode::kRapidStart) {
-        threads_.emplace_back([this, w] { worker_loop_rapid(w); });
-      } else {
-        threads_.emplace_back([this, w] { worker_loop_cv(w); });
-      }
-    }
+  threads_.reserve(workers_ - 1);
+  for (unsigned w = 1; w < workers_; ++w) {
+    threads_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
 Scheduler::~Scheduler() {
-  if (workers_ <= 1) return;
-  if (options_.mode == SchedMode::kRapidStart) {
-    stop_flag_.store(true, std::memory_order_release);
-    const std::uint64_t g = generation_ + 1;
-    for (unsigned w = 1; w < workers_; ++w) {
-      wake_[w].gen.store(g, std::memory_order_release);
-      wake_[w].gen.notify_one();
-    }
-  } else {
-    {
-      std::lock_guard lock(mu_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    stop_ = true;
   }
+  start_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 unsigned Scheduler::plan_tasks(std::size_t count) const noexcept {
-  if (count == 0) return 1;
-  std::size_t tasks = workers_;
-  if (options_.mode == SchedMode::kWorkSteal) {
-    tasks = static_cast<std::size_t>(workers_) * options_.steal_blocks_per_worker;
-  }
-  if (tasks > count) tasks = count;
-  return tasks == 0 ? 1 : static_cast<unsigned>(tasks);
-}
-
-void Scheduler::pin_worker(unsigned w) noexcept {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) hc = 1;
-  CPU_SET(w % hc, &set);
-  // Best effort: a failed pin (cgroup restrictions, offline CPU) leaves
-  // the worker on the default mask, which is always correct.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)w;
-#endif
-}
-
-bool Scheduler::pinning_supported() noexcept {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
+  if (workers_ == 1 || count == 0) return 1;
+  const std::size_t blocks =
+      static_cast<std::size_t>(workers_) * kBlocksPerWorker;
+  return static_cast<unsigned>(count < blocks ? count : blocks);
 }
 
 void Scheduler::run_one(unsigned w, unsigned t) {
@@ -113,34 +49,26 @@ void Scheduler::run_one(unsigned w, unsigned t) {
 
 void Scheduler::execute(unsigned w) {
   const unsigned nt = num_tasks_;
-  if (options_.mode == SchedMode::kWorkSteal) {
-    // Own partition ascending, then scan victims' partitions descending so
-    // thieves collide with owners at the far end of each range last.
-    const BalancedRange own = balanced_range(nt, workers_, w);
-    for (std::size_t t = own.begin; t < own.end; ++t) {
-      if (claims_[t].exchange(1, std::memory_order_acq_rel) == 0) {
-        run_one(w, static_cast<unsigned>(t));
-      }
-    }
-    for (unsigned k = 1; k < workers_; ++k) {
-      const unsigned victim = (w + k) % workers_;
-      const BalancedRange vr = balanced_range(nt, workers_, victim);
-      for (std::size_t t = vr.end; t > vr.begin; --t) {
-        if (claims_[t - 1].exchange(1, std::memory_order_acq_rel) == 0) {
-          run_one(w, static_cast<unsigned>(t - 1));
-        }
-      }
-    }
-  } else {
-    const BalancedRange r = balanced_range(nt, workers_, w);
-    for (std::size_t t = r.begin; t < r.end; ++t) {
+  // Own range ascending, then the victims' ranges descending, so thieves
+  // collide with owners at the far end of each range last.
+  const BalancedRange own = balanced_range(nt, workers_, w);
+  for (std::size_t t = own.begin; t < own.end; ++t) {
+    if (claims_[t].exchange(1, std::memory_order_acq_rel) == 0) {
       run_one(w, static_cast<unsigned>(t));
+    }
+  }
+  for (unsigned k = 1; k < workers_; ++k) {
+    const unsigned victim = (w + k) % workers_;
+    const BalancedRange vr = balanced_range(nt, workers_, victim);
+    for (std::size_t t = vr.end; t > vr.begin; --t) {
+      if (claims_[t - 1].exchange(1, std::memory_order_acq_rel) == 0) {
+        run_one(w, static_cast<unsigned>(t - 1));
+      }
     }
   }
 }
 
-void Scheduler::worker_loop_cv(unsigned w) {
-  if (options_.pin_threads) pin_worker(w);
+void Scheduler::worker_loop(unsigned w) {
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -154,42 +82,6 @@ void Scheduler::worker_loop_cv(unsigned w) {
       std::lock_guard lock(mu_);
       if (--pending_workers_ == 0) done_cv_.notify_all();
     }
-  }
-}
-
-void Scheduler::worker_loop_rapid(unsigned w) {
-  if (options_.pin_threads) pin_worker(w);
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::uint64_t g = wake_[w].gen.load(std::memory_order_acquire);
-    int spins = 0;
-    while (g == seen) {
-      if (++spins > 256) {
-        wake_[w].gen.wait(seen, std::memory_order_acquire);
-        spins = 0;
-      }
-      g = wake_[w].gen.load(std::memory_order_acquire);
-    }
-    seen = g;
-    if (stop_flag_.load(std::memory_order_acquire)) return;
-    wake_children(w, g);
-    execute(w);
-    if (pending_rapid_.fetch_sub(1, std::memory_order_release) == 1) {
-      pending_rapid_.notify_all();
-    }
-  }
-}
-
-void Scheduler::wake_children(unsigned w, std::uint64_t gen) {
-  const unsigned c1 = 2 * w + 1;
-  const unsigned c2 = 2 * w + 2;
-  if (c1 < workers_) {
-    wake_[c1].gen.store(gen, std::memory_order_release);
-    wake_[c1].gen.notify_one();
-  }
-  if (c2 < workers_) {
-    wake_[c2].gen.store(gen, std::memory_order_release);
-    wake_[c2].gen.notify_one();
   }
 }
 
@@ -220,11 +112,7 @@ void Scheduler::run_tasks(unsigned num_tasks,
   }
   if (workers_ == 1 || num_tasks == 1) {
     for (unsigned t = 0; t < num_tasks; ++t) run_one(0, t);
-    task_ = nullptr;
-    rethrow_lowest();
-    return;
-  }
-  if (options_.mode == SchedMode::kWorkSteal) {
+  } else {
     if (claims_cap_ < num_tasks) {
       claims_ = std::make_unique<std::atomic<std::uint8_t>[]>(num_tasks);
       claims_cap_ = num_tasks;
@@ -232,22 +120,6 @@ void Scheduler::run_tasks(unsigned num_tasks,
     for (unsigned t = 0; t < num_tasks; ++t) {
       claims_[t].store(0, std::memory_order_relaxed);
     }
-  }
-  if (options_.mode == SchedMode::kRapidStart) {
-    pending_rapid_.store(workers_ - 1, std::memory_order_relaxed);
-    const std::uint64_t g = ++generation_;
-    wake_children(0, g);
-    execute(0);
-    int spins = 0;
-    for (;;) {
-      const unsigned p = pending_rapid_.load(std::memory_order_acquire);
-      if (p == 0) break;
-      if (++spins > 256) {
-        pending_rapid_.wait(p, std::memory_order_acquire);
-        spins = 0;
-      }
-    }
-  } else {
     {
       std::lock_guard lock(mu_);
       pending_workers_ = workers_ - 1;

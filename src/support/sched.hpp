@@ -1,93 +1,49 @@
-// Composable fork-join scheduler for the sharded executors.
+// Fork-join scheduler for the sharded executors.
 //
-// The round engine and the alpha-synchronizer executor both run the same
-// workload shape: a fixed set of shard tasks dispatched once per round from
-// a single driver thread. `Scheduler` abstracts how those tasks reach the
-// workers behind three modes that all preserve the repo's determinism
-// contract (bit-identical matchings, stats and obs output for any thread
-// count):
+// The round engine, the alpha-synchronizer executor and the engine's
+// extraction scans all run the same workload shape: a fixed set of shard
+// tasks dispatched from a single driver thread. `Scheduler` runs them by
+// claim-flag work stealing. Ownership of tasks is the balanced contiguous
+// layout over the workers, and each task carries an atomic claim flag: a
+// worker drains its own range in ascending order, then scans the other
+// workers' ranges in descending order and steals the tasks still
+// unclaimed, so a worker whose shards ran light takes over the tail of a
+// hot one. Stealing reorders *execution*, never *results*: every task
+// writes only its own deterministic state slot (shard), and all
+// cross-shard merges in the executors go through canonical key order.
 //
-//  - kStatic: contiguous task ranges per worker, two condition-variable
-//    handshakes per dispatch. The baseline; identical in spirit to the old
-//    ThreadPool but with balanced remainder distribution.
-//  - kWorkSteal: ownership of tasks is still the static balanced layout,
-//    but each task carries an atomic claim flag. A worker drains its own
-//    range in ascending order, then scans other workers' ranges in
-//    descending order and steals unclaimed tasks. Stealing reorders
-//    *execution*, never *results*: every task writes only its own
-//    deterministic state slot (shard), and all cross-shard merges in the
-//    executors go through canonical key order. Shard geometry is a pure
-//    function of (count, num_tasks), not of which worker ran what.
-//  - kRapidStart: replaces the broadcast condition-variable wakeup with a
-//    tree broadcast over per-worker futex cells (C++20 atomic wait/notify):
-//    the driver wakes workers 1 and 2, worker w wakes 2w+1 and 2w+2, so
-//    wakeup latency is O(log P) sequential notifies instead of one thread
-//    doing P of them. Completion is an atomic countdown.
-//
-// Task-count planning: plan_tasks() returns how many tasks a count of items
-// should be split into. Static and rapid-start use one task per worker;
-// work-stealing plans `steal_blocks_per_worker` blocks per worker so there
-// is actually slack to steal. Executors fix their shard count once at
-// construction from plan_tasks(), so shard layout never depends on the
-// round-by-round schedule.
+// Shard plan: plan_tasks() returns how many tasks a count of items should
+// be split into, a function of (count, workers) alone — one task at one
+// worker, so a 1-thread run steps one shard on the calling thread with no
+// claim traffic, and min(count, 4 × workers) otherwise, so a worker has
+// blocks to steal. Executors fix their shard count once at construction
+// from plan_tasks(), so shard layout never depends on the round-by-round
+// schedule.
 //
 // Exceptions thrown by tasks are captured per task index and the lowest
 // index is rethrown after the dispatch barrier, so error propagation is
 // deterministic regardless of execution order.
 //
-// Memory model: everything workers wrote during run_tasks() happens-before
-// run_tasks() returning (mutex handshake in static/steal, acquire on the
-// final pending-countdown load in rapid-start), and everything the driver
-// wrote before run_tasks() happens-before workers observing the task.
+// Memory model: everything the driver wrote before run_tasks() happens-
+// before workers observe the task, and everything workers wrote during
+// run_tasks() happens-before run_tasks() returns (both through the mutex
+// handshake).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace dmatch::support {
 
-enum class SchedMode : std::uint8_t {
-  kStatic = 0,
-  kWorkSteal = 1,
-  kRapidStart = 2,
-};
-
-[[nodiscard]] constexpr const char* to_string(SchedMode mode) noexcept {
-  switch (mode) {
-    case SchedMode::kStatic:
-      return "static";
-    case SchedMode::kWorkSteal:
-      return "steal";
-    case SchedMode::kRapidStart:
-      return "rapid";
-  }
-  return "?";
-}
-
-/// Parses "static" / "steal" / "rapid" (the CLI spellings). Returns
-/// nullopt on anything else.
-[[nodiscard]] std::optional<SchedMode> parse_sched_mode(
-    std::string_view name) noexcept;
-
 struct SchedOptions {
-  SchedMode mode = SchedMode::kStatic;
-  /// Pin spawned workers to CPUs (worker w -> CPU w mod hardware
-  /// concurrency) where the platform supports it; see
-  /// Scheduler::pinning_supported(). The calling thread (worker 0) is
-  /// never pinned — it belongs to the embedding application.
-  bool pin_threads = false;
-  /// Task blocks per worker in kWorkSteal mode (min 1). More blocks give
-  /// finer-grained stealing at the cost of more per-round claim traffic.
-  unsigned steal_blocks_per_worker = 4;
   /// Record per-task service time (steady_clock) and per-worker task
   /// counts. Off by default: profiling output is wall-clock dependent and
   /// must never leak into deterministic artifacts unless asked for.
@@ -128,6 +84,9 @@ struct BalancedRange {
 
 class Scheduler {
  public:
+  /// Task blocks per worker when there is more than one worker.
+  static constexpr unsigned kBlocksPerWorker = 4;
+
   /// `num_threads` logical workers; 0 is promoted to 1. Spawns
   /// num_threads - 1 OS threads; the caller of run_tasks() is worker 0.
   explicit Scheduler(unsigned num_threads, SchedOptions options = {});
@@ -137,15 +96,10 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   [[nodiscard]] unsigned workers() const noexcept { return workers_; }
-  [[nodiscard]] const SchedOptions& options() const noexcept {
-    return options_;
-  }
 
-  /// How many tasks `count` items should be split into under this
-  /// scheduler: min(count, workers) for static/rapid, and
-  /// min(count, workers * steal_blocks_per_worker) for work-stealing.
-  /// Always >= 1. Executors call this once and freeze the result as their
-  /// shard count.
+  /// How many tasks `count` items should be split into: 1 at one worker,
+  /// min(count, kBlocksPerWorker * workers) otherwise. Always >= 1.
+  /// Executors call this once and freeze the result as their shard count.
   [[nodiscard]] unsigned plan_tasks(std::size_t count) const noexcept;
 
   /// Execute task(t) exactly once for every t in [0, num_tasks) and block
@@ -155,41 +109,31 @@ class Scheduler {
   void run_tasks(unsigned num_tasks, const std::function<void(unsigned)>& task);
 
   /// Cumulative per-task service nanoseconds since the last
-  /// reset_profile(); empty unless options().profile. Indexed by task id.
+  /// reset_profile(); empty unless SchedOptions::profile. Indexed by task
+  /// id.
   [[nodiscard]] const std::vector<std::uint64_t>& task_service_ns()
       const noexcept {
     return task_ns_;
   }
   /// Cumulative tasks executed per worker since the last reset_profile();
-  /// empty unless options().profile.
+  /// empty unless SchedOptions::profile.
   [[nodiscard]] const std::vector<std::uint64_t>& worker_task_counts()
       const noexcept {
     return worker_tasks_;
   }
   void reset_profile();
 
-  /// True when SchedOptions::pin_threads can take effect on this platform.
-  [[nodiscard]] static bool pinning_supported() noexcept;
-
  private:
-  struct alignas(64) WakeCell {
-    std::atomic<std::uint64_t> gen{0};
-  };
-
-  void worker_loop_cv(unsigned w);
-  void worker_loop_rapid(unsigned w);
-  void wake_children(unsigned w, std::uint64_t gen);
+  void worker_loop(unsigned w);
   void execute(unsigned w);
   void run_one(unsigned w, unsigned t);
   void rethrow_lowest();
-  static void pin_worker(unsigned w) noexcept;
 
   unsigned workers_;
   SchedOptions options_;
   std::vector<std::thread> threads_;
 
-  // Dispatch state. For static/steal it is published under mu_; for
-  // rapid-start the release store into each WakeCell publishes it.
+  // Dispatch state, published under mu_.
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
@@ -198,10 +142,6 @@ class Scheduler {
   std::uint64_t generation_ = 0;
   unsigned pending_workers_ = 0;
   bool stop_ = false;
-
-  std::atomic<bool> stop_flag_{false};
-  std::atomic<unsigned> pending_rapid_{0};
-  std::unique_ptr<WakeCell[]> wake_;
 
   std::unique_ptr<std::atomic<std::uint8_t>[]> claims_;
   unsigned claims_cap_ = 0;

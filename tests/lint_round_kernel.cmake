@@ -9,9 +9,9 @@
 #
 # Rule 2 keeps one round loop: outside congest/kernel.* and the one
 # driver, congest/network.cpp (Network::run), no file calls the
-# driver-only kernel entry points step_node, finish_route, advance_round
-# or close_run, or uses RoundRollback. A multi-process run plugs into
-# the driver through congest::RoundBarrier instead.
+# driver-only kernel entry points step_node, finish_route, advance_round,
+# close_run or undo_steps, or uses RoundRollback. A multi-process run
+# plugs into the driver through congest::RoundBarrier instead.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/lint_round_kernel.cmake
 if(NOT SRC_DIR)
@@ -42,7 +42,7 @@ foreach(rel IN LISTS sources)
   if(NOT (rel MATCHES "^congest/kernel\\.[a-z]+$" OR
           rel STREQUAL "congest/network.cpp"))
     if(text MATCHES
-       "(^|[^A-Za-z0-9_])(step_node|finish_route|advance_round|close_run)[ \t\r\n]*\\(")
+       "(^|[^A-Za-z0-9_])(step_node|finish_route|advance_round|close_run|undo_steps)[ \t\r\n]*\\(")
       list(APPEND violations "${rel}: round-driver call ${CMAKE_MATCH_2}()")
     endif()
     if(text MATCHES "RoundRollback")

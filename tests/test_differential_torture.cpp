@@ -1,12 +1,11 @@
 // Seeded differential torture harness (ctest label `difftorture`).
 //
-// Sweeps graph families x fault plans x executors x thread counts x
-// scheduling modes and asserts, for every cell, the repository's
-// strongest cross-cutting guarantees at once:
-//   * the round engine is bit-identical across num_threads {1, 2, 8}
-//     (matching, RunStats, per-round histogram, trip-or-not outcome);
-//   * both executors are bit-identical across dispatcher scheduling
-//     modes {static, steal, rapid} at the highest thread count;
+// Sweeps graph families x fault plans x executors x thread counts and
+// asserts, for every cell, the repository's strongest cross-cutting
+// guarantees at once:
+//   * the round engine is bit-identical across num_threads {1, 2, 8},
+//     which run 1, 8 and 32 work-stolen shards (matching, RunStats,
+//     per-round histogram, trip-or-not outcome);
 //   * the multi-process shard engine over loopback transport at procs
 //     {1, 2} is bit-identical to the single-process round engine
 //     (matching, RunStats, fault counters, dead mask);
@@ -39,7 +38,6 @@
 #include "graph/generators.hpp"
 #include "mp_harness.hpp"
 #include "support/assert.hpp"
-#include "support/sched.hpp"
 
 namespace dmatch {
 namespace {
@@ -51,13 +49,8 @@ using congest::FaultPlan;
 using congest::Model;
 using congest::Network;
 using congest::RunStats;
-using support::SchedMode;
 
 const unsigned kThreadCounts[] = {1, 2, 8};
-
-// The non-default dispatcher modes, swept at the highest thread count
-// (kStatic is what the thread-count sweep already runs).
-const SchedMode kAltModes[] = {SchedMode::kWorkSteal, SchedMode::kRapidStart};
 
 // Round budgets are deliberately short: under active plans the raw
 // protocol may never quiesce, and every guarantee the harness asserts
@@ -158,11 +151,9 @@ struct EngineOutcome {
 };
 
 EngineOutcome run_engine(const Graph& g, std::uint64_t seed,
-                         const FaultPlan& plan, unsigned threads,
-                         SchedMode mode = SchedMode::kStatic) {
+                         const FaultPlan& plan, unsigned threads) {
   Network::Options options;
   options.num_threads = threads;
-  options.sched.mode = mode;
   options.fault = plan;
   Network net(g, Model::kCongest, seed, 48, options);
   EngineOutcome out;
@@ -188,11 +179,9 @@ struct AsyncOutcome {
 };
 
 AsyncOutcome run_async(const Graph& g, std::uint64_t seed,
-                       const FaultPlan& plan, unsigned threads,
-                       SchedMode mode = SchedMode::kStatic) {
+                       const FaultPlan& plan, unsigned threads) {
   AsyncOptions options;
   options.num_threads = threads;
-  options.sched.mode = mode;
   options.fault = plan;
   AsyncOutcome out;
   try {
@@ -308,24 +297,6 @@ std::optional<std::string> check_cell(const Family& family, NodeId n,
       return "engine matching mismatch at threads=" + std::to_string(threads);
   }
 
-  // Round engine across scheduling modes (highest thread count, where
-  // stealing and the wakeup tree actually have workers to act on).
-  for (const SchedMode mode : kAltModes) {
-    const EngineOutcome got =
-        run_engine(g, seed, plan, kThreadCounts[2], mode);
-    const std::string tag = std::string("engine mode=") +
-                            support::to_string(mode);
-    if (got.tripped != engine_ref.tripped)
-      return tag + ": trip outcome mismatch";
-    if (!got.tripped) {
-      if (auto err = check_engine_stats(engine_ref.stats, got.stats,
-                                        kThreadCounts[2]))
-        return tag + " " + *err;
-    }
-    if (!(got.matching == engine_ref.matching))
-      return tag + ": matching mismatch";
-  }
-
   // Multi-process loopback sharding must reproduce the single-process
   // engine exactly: procs=1 pushes the full history through the frame
   // codec loop, procs=2 additionally exercises cross-shard batching and
@@ -366,22 +337,6 @@ std::optional<std::string> check_cell(const Family& family, NodeId n,
       return "async matching mismatch at threads=" + std::to_string(threads);
     if (got.result.dead_nodes != async_ref.result.dead_nodes)
       return "async dead-mask mismatch at threads=" + std::to_string(threads);
-  }
-
-  // Async executor across scheduling modes.
-  for (const SchedMode mode : kAltModes) {
-    const AsyncOutcome got = run_async(g, seed, plan, kThreadCounts[2], mode);
-    const std::string tag =
-        std::string("async mode=") + support::to_string(mode);
-    if (got.tripped != async_ref.tripped) return tag + ": trip mismatch";
-    if (got.tripped) continue;
-    if (auto err = check_async_stats(async_ref.result.stats, got.result.stats,
-                                     kThreadCounts[2]))
-      return tag + " " + *err;
-    if (!(got.result.matching == async_ref.result.matching))
-      return tag + ": matching mismatch";
-    if (got.result.dead_nodes != async_ref.result.dead_nodes)
-      return tag + ": dead-mask mismatch";
   }
 
   // Matching invariants over the surviving nodes, per executor (each
@@ -484,7 +439,7 @@ TEST(DifferentialTorture, HeavyDelay) { sweep_plan(kPlans[4]); }
 // --- churn axis: the dynamic matching service under the same contract --
 //
 // Replays one deterministic workload stream through the MatchingService
-// per (mode, seed) cell across thread counts and scheduling modes, and
+// per (mode, seed) cell across thread counts, and
 // requires the WHOLE per-epoch trajectory — repair path taken, dirty set
 // sizes, round/message stats, matching size and weight — to be
 // bit-identical, with every epoch's matching passing the invariant
@@ -496,14 +451,13 @@ struct ChurnTrajectory {
 };
 
 ChurnTrajectory run_churn_cell(dyn::WorkloadMode mode, std::uint64_t seed,
-                               unsigned threads, SchedMode sched) {
+                               unsigned threads) {
   const Graph g = gen::gnp(220, 0.015, seed);
   dyn::ServiceOptions so;
   so.limits.max_ops = 8;
   so.limits.max_latency_us = 3'000;
   so.repair.fallback_fraction = 0.5;
   so.repair.num_threads = threads;
-  so.repair.sched.mode = sched;
   so.repair.seed = seed;
   dyn::MatchingService svc(g, so);
 
@@ -546,26 +500,18 @@ std::string describe_epoch(const dyn::EpochReport& r) {
 }
 
 TEST(DifferentialTorture, ChurnTrajectoryBitIdentical) {
-  const std::pair<unsigned, SchedMode> kConfigs[] = {
-      {1, SchedMode::kStatic},
-      {3, SchedMode::kWorkSteal},
-      {5, SchedMode::kRapidStart},
-  };
+  const unsigned kThreads[] = {1, 3, 5};
   for (const dyn::WorkloadMode mode :
        {dyn::WorkloadMode::kUniform, dyn::WorkloadMode::kHotspot,
         dyn::WorkloadMode::kAdversarialFlap}) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       SCOPED_TRACE(::testing::Message()
                    << "mode=" << dyn::to_string(mode) << " seed=" << seed);
-      const ChurnTrajectory ref =
-          run_churn_cell(mode, seed, kConfigs[0].first, kConfigs[0].second);
+      const ChurnTrajectory ref = run_churn_cell(mode, seed, kThreads[0]);
       ASSERT_FALSE(ref.history.empty());
-      for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-        const ChurnTrajectory got =
-            run_churn_cell(mode, seed, kConfigs[c].first, kConfigs[c].second);
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << kConfigs[c].first << " sched="
-                     << static_cast<int>(kConfigs[c].second));
+      for (std::size_t c = 1; c < std::size(kThreads); ++c) {
+        const ChurnTrajectory got = run_churn_cell(mode, seed, kThreads[c]);
+        SCOPED_TRACE(::testing::Message() << "threads=" << kThreads[c]);
         ASSERT_EQ(got.history.size(), ref.history.size());
         for (std::size_t i = 0; i < ref.history.size(); ++i) {
           EXPECT_EQ(describe_epoch(got.history[i]),

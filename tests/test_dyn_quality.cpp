@@ -207,30 +207,21 @@ TEST(DynQualityDifferential, IncrementalAgreesWithForcedFullK3) {
 // The whole augmented trajectory — including the augment stage's
 // iteration counts, gains and host-sweep escalations — is a pure
 // function of (graph, workload seed, limits): bit-identical across
-// thread counts and scheduling modes.
+// thread counts.
 TEST(DynQualityDeterminism, AugmentedTrajectoryBitIdenticalAcrossThreads) {
   const Graph g = gen::gnp(150, 0.05, 31);
-  struct Config {
-    unsigned threads;
-    support::SchedMode mode;
-  };
-  const Config configs[] = {
-      {1, support::SchedMode::kStatic},
-      {2, support::SchedMode::kStatic},
-      {8, support::SchedMode::kWorkSteal},
-      {4, support::SchedMode::kRapidStart},
-  };
+  // 1, 8, 32 and 16 shards.
+  const unsigned thread_counts[] = {1, 2, 8, 4};
   for (const int quality_k : {2, 3}) {
     std::vector<std::vector<EpochReport>> histories;
     std::vector<Matching> finals;
-    for (const Config& c : configs) {
+    for (const unsigned threads : thread_counts) {
       ServiceOptions so;
       so.limits.max_ops = 16;
       so.limits.max_latency_us = 3'000;
       so.repair.quality_k = quality_k;
       so.repair.seed = 99;
-      so.repair.num_threads = c.threads;
-      so.repair.sched.mode = c.mode;
+      so.repair.num_threads = threads;
       MatchingService svc(g, so);
       WorkloadOptions wo;
       wo.mode = WorkloadMode::kAdversarialFlap;

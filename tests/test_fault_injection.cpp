@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/async.hpp"
@@ -19,6 +23,7 @@
 #include "core/israeli_itai.hpp"
 #include "core/verify.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "support/wire.hpp"
 
 namespace dmatch {
@@ -591,6 +596,112 @@ TEST(AsyncFaults, AgreesWithEngineUnderCrashRestart) {
   const MatchingInvariantReport check = verify_matching_invariants(
       g, async_result.matching, async_result.dead_nodes);
   EXPECT_TRUE(check.ok()) << check.summary();
+}
+
+// --- aborted rounds: a tripped round leaves no layout behind ----------
+
+struct Trip : std::runtime_error {
+  Trip() : std::runtime_error("trip") {}
+};
+
+/// Israeli–Itai, except that `thrower` throws when it steps round `round`:
+/// the nodes stepped before it in that round have already drawn from
+/// their RNG streams, and which ones those are depends on the shard
+/// layout and, above one thread, on timing.
+class TrippedIsraeliItai final : public congest::Process {
+ public:
+  TrippedIsraeliItai(std::unique_ptr<congest::Process> inner, bool thrower,
+                     int round)
+      : inner_(std::move(inner)), thrower_(thrower), round_(round) {}
+  void on_round(congest::Context& ctx,
+                std::span<const congest::Envelope> inbox) override {
+    if (thrower_ && ctx.round() == round_) throw Trip();
+    inner_->on_round(ctx, inbox);
+  }
+  [[nodiscard]] bool halted() const override { return inner_->halted(); }
+
+ private:
+  std::unique_ptr<congest::Process> inner_;
+  bool thrower_;
+  int round_;
+};
+
+/// Three tripped Israeli–Itai runs on one Network, then the driver on
+/// what they left: everything the four runs leave behind.
+struct TripHistory {
+  std::vector<std::uint64_t> rounds;  // lifetime rounds of each tripped run
+  std::vector<std::vector<int>> registers;  // after each tripped run
+  IsraeliItaiResult final_run;
+  std::string metrics_json;
+  std::vector<obs::TraceEvent> trace;
+};
+
+TripHistory trip_history(const Graph& g, const FaultPlan& plan,
+                         unsigned threads) {
+  // (thrower, run-local round) of each tripped run.
+  const std::pair<NodeId, int> trips[] = {{97, 2}, {61, 4}, {120, 2}};
+  obs::Observer observer;
+  Network::Options options;
+  options.num_threads = threads;
+  options.fault = plan;
+  options.observer = &observer;
+  Network net(g, Model::kCongest, 29, 48, options);
+  TripHistory h;
+  const congest::ProcessFactory inner = israeli_itai_factory();
+  for (const auto& [thrower, round] : trips) {
+    const std::uint64_t before = net.lifetime_rounds();
+    const congest::ProcessFactory factory = [&, thrower = thrower,
+                                             round = round](NodeId v,
+                                                            const Graph& gg) {
+      return std::make_unique<TrippedIsraeliItai>(inner(v, gg), v == thrower,
+                                                  round);
+    };
+    EXPECT_THROW((void)net.run(factory, 64), Trip) << "threads=" << threads;
+    h.rounds.push_back(net.lifetime_rounds() - before);
+    net.copy_registers(h.registers.emplace_back());
+  }
+  h.final_run = israeli_itai(net);
+  std::ostringstream metrics;
+  observer.metrics().write_json(metrics);
+  h.metrics_json = metrics.str();
+  h.trace = observer.trace_sink().merged();
+  return h;
+}
+
+TEST(FaultRollback, TrippedRunsLeaveNoLayoutTrace) {
+  // The round rollback contract: an aborted round restores the
+  // registers, the RNG streams and the restart bookkeeping, so the
+  // runs after it see the same state whichever nodes the aborted round
+  // happened to step first. Repeated at every thread count, since above
+  // one thread which nodes stepped before the trip is a matter of timing.
+  const Graph g = gen::gnp(180, 0.04, 29);
+  FaultPlan plan = harsh_plan(29);
+  // A batch of nodes crashes at lifetime round 3 and restarts in round 6,
+  // the round the second run trips in: whether a restarting node stepped
+  // (and so consumed its one register reset) before the trip must not
+  // show either.
+  for (NodeId v = 3; v < g.node_count(); v += 7) {
+    plan.crashes.push_back({v, 3, 6});
+  }
+  const TripHistory ref = trip_history(g, plan, 1);
+  // Each run trips in its thrower's round; the rounds before it count.
+  EXPECT_EQ(ref.rounds, (std::vector<std::uint64_t>{2, 4, 2}));
+  EXPECT_TRUE(ref.final_run.matching.is_valid(g));
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " repeat=" << repeat);
+      const TripHistory got = trip_history(g, plan, threads);
+      EXPECT_EQ(got.rounds, ref.rounds);
+      EXPECT_TRUE(got.registers == ref.registers);
+      EXPECT_TRUE(got.final_run.matching == ref.final_run.matching);
+      expect_same_stats(ref.final_run.stats, got.final_run.stats, threads);
+      expect_same_degradation(ref.final_run.degradation,
+                              got.final_run.degradation, threads);
+      EXPECT_EQ(got.metrics_json, ref.metrics_json);
+      EXPECT_TRUE(got.trace == ref.trace) << "trace multiset diverged";
+    }
+  }
 }
 
 TEST(Checkpoint, RetriesTransientContractTrip) {

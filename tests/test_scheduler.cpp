@@ -1,8 +1,9 @@
-// Scheduler suite (ctest label `sched`): the fork-join dispatcher behind
-// both executors, plus the mode-independence contract — static,
-// work-stealing and rapid-start dispatch must produce byte-identical
-// matchings, stats and observability artifacts for any thread count,
-// with and without fault injection.
+// Scheduler suite (ctest label `sched`): the work-stealing fork-join
+// dispatcher behind both executors, plus the layout-independence
+// contract — matchings, stats and observability artifacts must be
+// byte-identical for any thread count, and so for any shard count and
+// any order in which workers claim the shards, with and without fault
+// injection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,12 +33,11 @@ using congest::Network;
 using support::balanced_part_of;
 using support::balanced_range;
 using support::BalancedRange;
-using support::SchedMode;
 using support::SchedOptions;
 using support::Scheduler;
 
-constexpr SchedMode kModes[] = {SchedMode::kStatic, SchedMode::kWorkSteal,
-                                SchedMode::kRapidStart};
+// One, eight and 32 shards: plan_tasks gives one shard at one worker and
+// four per worker otherwise.
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
 
 // --- balanced partition ----------------------------------------------
@@ -77,110 +77,63 @@ TEST(BalancedRangeTest, PartOfIsInverse) {
   }
 }
 
-TEST(SchedModeTest, ParseAndPrint) {
-  EXPECT_EQ(support::parse_sched_mode("static"), SchedMode::kStatic);
-  EXPECT_EQ(support::parse_sched_mode("steal"), SchedMode::kWorkSteal);
-  EXPECT_EQ(support::parse_sched_mode("work-steal"), SchedMode::kWorkSteal);
-  EXPECT_EQ(support::parse_sched_mode("rapid"), SchedMode::kRapidStart);
-  EXPECT_EQ(support::parse_sched_mode("rapid-start"), SchedMode::kRapidStart);
-  EXPECT_FALSE(support::parse_sched_mode("greedy").has_value());
-  EXPECT_FALSE(support::parse_sched_mode("").has_value());
-  for (const SchedMode mode : kModes) {
-    EXPECT_EQ(support::parse_sched_mode(support::to_string(mode)), mode);
-  }
-}
-
 // --- dispatch semantics ----------------------------------------------
 
 TEST(SchedulerTest, PlanTasks) {
-  for (const SchedMode mode : kModes) {
-    SchedOptions opts;
-    opts.mode = mode;
-    Scheduler sched(4, opts);
-    EXPECT_EQ(sched.workers(), 4u);
-    EXPECT_EQ(sched.plan_tasks(0), 1u);  // never zero shards
-    EXPECT_EQ(sched.plan_tasks(3), 3u);  // never more tasks than items
-    const unsigned many = sched.plan_tasks(1 << 20);
-    if (mode == SchedMode::kWorkSteal) {
-      EXPECT_EQ(many, 4u * opts.steal_blocks_per_worker);
-    } else {
-      EXPECT_EQ(many, 4u);
-    }
-  }
+  Scheduler one(1);
+  EXPECT_EQ(one.plan_tasks(0), 1u);
+  EXPECT_EQ(one.plan_tasks(1 << 20), 1u);  // one worker steps one shard
+  Scheduler sched(4);
+  EXPECT_EQ(sched.workers(), 4u);
+  EXPECT_EQ(sched.plan_tasks(0), 1u);  // never zero shards
+  EXPECT_EQ(sched.plan_tasks(3), 3u);  // never more tasks than items
+  EXPECT_EQ(sched.plan_tasks(1 << 20), 4u * Scheduler::kBlocksPerWorker);
 }
 
 TEST(SchedulerTest, RunsEveryTaskExactlyOnce) {
-  for (const SchedMode mode : kModes) {
-    for (const unsigned threads : kThreadCounts) {
-      SchedOptions opts;
-      opts.mode = mode;
-      Scheduler sched(threads, opts);
-      // Odd task counts exercise the remainder split; repeated dispatches
-      // exercise generation reuse.
-      for (const unsigned tasks : {1u, 5u, 7u, 64u}) {
-        std::vector<std::atomic<int>> hits(tasks);
-        for (auto& h : hits) h.store(0);
-        for (int repeat = 0; repeat < 3; ++repeat) {
-          sched.run_tasks(tasks, [&](unsigned t) {
-            hits[t].fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-        for (unsigned t = 0; t < tasks; ++t) {
-          EXPECT_EQ(hits[t].load(), 3)
-              << "mode=" << support::to_string(mode) << " threads=" << threads
-              << " tasks=" << tasks << " t=" << t;
-        }
+  for (const unsigned threads : kThreadCounts) {
+    Scheduler sched(threads);
+    // Odd task counts exercise the remainder split and task counts below
+    // the worker count leave some owners nothing but stealing; repeated
+    // dispatches exercise generation and claim-flag reuse.
+    for (const unsigned tasks : {1u, 5u, 7u, 64u}) {
+      std::vector<std::atomic<int>> hits(tasks);
+      for (auto& h : hits) h.store(0);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        sched.run_tasks(tasks, [&](unsigned t) {
+          hits[t].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+      for (unsigned t = 0; t < tasks; ++t) {
+        EXPECT_EQ(hits[t].load(), 3)
+            << "threads=" << threads << " tasks=" << tasks << " t=" << t;
       }
     }
   }
 }
 
 TEST(SchedulerTest, RethrowsLowestTaskIndex) {
-  for (const SchedMode mode : kModes) {
-    for (const unsigned threads : {1u, 8u}) {
-      SchedOptions opts;
-      opts.mode = mode;
-      Scheduler sched(threads, opts);
-      try {
-        sched.run_tasks(16, [](unsigned t) {
-          if (t == 5 || t == 11) {
-            throw std::runtime_error("task " + std::to_string(t));
-          }
-        });
-        FAIL() << "expected rethrow, mode=" << support::to_string(mode)
-               << " threads=" << threads;
-      } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "task 5")
-            << "mode=" << support::to_string(mode) << " threads=" << threads;
-      }
-      // The scheduler must stay usable after a failed dispatch.
-      std::atomic<int> ran{0};
-      sched.run_tasks(4, [&](unsigned) { ran.fetch_add(1); });
-      EXPECT_EQ(ran.load(), 4);
+  for (const unsigned threads : {1u, 8u}) {
+    Scheduler sched(threads);
+    try {
+      sched.run_tasks(16, [](unsigned t) {
+        if (t == 5 || t == 11) {
+          throw std::runtime_error("task " + std::to_string(t));
+        }
+      });
+      FAIL() << "expected rethrow, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5") << "threads=" << threads;
     }
-  }
-}
-
-TEST(SchedulerTest, PinningSmoke) {
-  // Pinning is best-effort; the observable contract is only that work
-  // still completes.
-  SchedOptions opts;
-  opts.pin_threads = true;
-  for (const SchedMode mode : kModes) {
-    opts.mode = mode;
-    Scheduler sched(4, opts);
+    // The scheduler must stay usable after a failed dispatch.
     std::atomic<int> ran{0};
-    sched.run_tasks(8, [&](unsigned) { ran.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 8);
+    sched.run_tasks(4, [&](unsigned) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 4);
   }
-#if defined(__linux__)
-  EXPECT_TRUE(Scheduler::pinning_supported());
-#endif
 }
 
 TEST(SchedulerTest, ProfileCountersAccount) {
   SchedOptions opts;
-  opts.mode = SchedMode::kWorkSteal;
   opts.profile = true;
   Scheduler sched(4, opts);
   sched.reset_profile();
@@ -233,7 +186,7 @@ TEST(ShardSlabTest, ViewsTileTheLogicalIndexSpace) {
   }
 }
 
-// --- mode independence of executor results ---------------------------
+// --- layout independence of executor results -------------------------
 
 struct EngineRun {
   Matching matching;
@@ -242,12 +195,10 @@ struct EngineRun {
   std::string trace_jsonl;
 };
 
-EngineRun run_engine(const Graph& g, SchedMode mode, unsigned threads,
-                     const FaultPlan& plan) {
+EngineRun run_engine(const Graph& g, unsigned threads, const FaultPlan& plan) {
   obs::Observer observer;
   Network::Options options;
   options.num_threads = threads;
-  options.sched.mode = mode;
   options.fault = plan;
   options.observer = &observer;
   Network net(g, Model::kCongest, 5, 48, options);
@@ -264,37 +215,33 @@ EngineRun run_engine(const Graph& g, SchedMode mode, unsigned threads,
   return out;
 }
 
-TEST(SchedModeDeterminism, EngineIdenticalAcrossModesAndThreads) {
+TEST(SchedDeterminism, EngineIdenticalAcrossThreads) {
   const Graph g = gen::gnp(96, 5.0 / 96, 2);
   FaultPlan faulty;
   faulty.drop_prob = 0.05;
   faulty.duplicate_prob = 0.03;
   faulty.seed = 7;
   for (const FaultPlan& plan : {FaultPlan{}, faulty}) {
-    const EngineRun ref = run_engine(g, SchedMode::kStatic, 1, plan);
-    for (const SchedMode mode : kModes) {
-      for (const unsigned threads : kThreadCounts) {
-        const EngineRun got = run_engine(g, mode, threads, plan);
-        SCOPED_TRACE(::testing::Message()
-                     << "mode=" << support::to_string(mode)
-                     << " threads=" << threads << " faulty=" << plan.any());
-        EXPECT_TRUE(got.matching == ref.matching);
-        EXPECT_EQ(got.stats.rounds, ref.stats.rounds);
-        EXPECT_EQ(got.stats.messages, ref.stats.messages);
-        EXPECT_EQ(got.stats.total_bits, ref.stats.total_bits);
-        EXPECT_EQ(got.stats.dropped_messages, ref.stats.dropped_messages);
-        EXPECT_EQ(got.stats.duplicated_messages,
-                  ref.stats.duplicated_messages);
-        // Byte-identical observability artifacts — the strongest form of
-        // the layout-independence claim.
-        EXPECT_EQ(got.metrics_json, ref.metrics_json);
-        EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl);
-      }
+    const EngineRun ref = run_engine(g, 1, plan);
+    for (const unsigned threads : kThreadCounts) {
+      const EngineRun got = run_engine(g, threads, plan);
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " faulty=" << plan.any());
+      EXPECT_TRUE(got.matching == ref.matching);
+      EXPECT_EQ(got.stats.rounds, ref.stats.rounds);
+      EXPECT_EQ(got.stats.messages, ref.stats.messages);
+      EXPECT_EQ(got.stats.total_bits, ref.stats.total_bits);
+      EXPECT_EQ(got.stats.dropped_messages, ref.stats.dropped_messages);
+      EXPECT_EQ(got.stats.duplicated_messages, ref.stats.duplicated_messages);
+      // Byte-identical observability artifacts — the strongest form of
+      // the layout-independence claim.
+      EXPECT_EQ(got.metrics_json, ref.metrics_json);
+      EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl);
     }
   }
 }
 
-TEST(SchedModeDeterminism, AsyncIdenticalAcrossModesAndThreads) {
+TEST(SchedDeterminism, AsyncIdenticalAcrossThreads) {
   const Graph g = gen::gnp(64, 5.0 / 64, 3);
   FaultPlan faulty;
   faulty.drop_prob = 0.05;
@@ -305,35 +252,30 @@ TEST(SchedModeDeterminism, AsyncIdenticalAcrossModesAndThreads) {
     ref_options.fault = plan;
     const congest::AsyncRunResult ref = congest::run_synchronized(
         g, israeli_itai_factory(), 5, 512, ref_options);
-    for (const SchedMode mode : kModes) {
-      for (const unsigned threads : kThreadCounts) {
-        congest::AsyncOptions options;
-        options.num_threads = threads;
-        options.sched.mode = mode;
-        options.fault = plan;
-        const congest::AsyncRunResult got = congest::run_synchronized(
-            g, israeli_itai_factory(), 5, 512, options);
-        SCOPED_TRACE(::testing::Message()
-                     << "mode=" << support::to_string(mode)
-                     << " threads=" << threads << " faulty=" << plan.any());
-        EXPECT_TRUE(got.matching == ref.matching);
-        EXPECT_EQ(got.stats.events, ref.stats.events);
-        EXPECT_EQ(got.stats.payload_messages, ref.stats.payload_messages);
-        EXPECT_EQ(got.stats.virtual_rounds, ref.stats.virtual_rounds);
-        EXPECT_EQ(got.dead_nodes, ref.dead_nodes);
-      }
+    for (const unsigned threads : kThreadCounts) {
+      congest::AsyncOptions options;
+      options.num_threads = threads;
+      options.fault = plan;
+      const congest::AsyncRunResult got = congest::run_synchronized(
+          g, israeli_itai_factory(), 5, 512, options);
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " faulty=" << plan.any());
+      EXPECT_TRUE(got.matching == ref.matching);
+      EXPECT_EQ(got.stats.events, ref.stats.events);
+      EXPECT_EQ(got.stats.payload_messages, ref.stats.payload_messages);
+      EXPECT_EQ(got.stats.virtual_rounds, ref.stats.virtual_rounds);
+      EXPECT_EQ(got.dead_nodes, ref.dead_nodes);
     }
   }
 }
 
-TEST(SchedModeDeterminism, ProfilingDoesNotPerturbResults) {
+TEST(SchedDeterminism, ProfilingDoesNotPerturbResults) {
   // profile=true records wall-clock service times; with no observer
   // attached it must not change any deterministic output.
   const Graph g = gen::gnp(64, 5.0 / 64, 4);
-  const EngineRun ref = run_engine(g, SchedMode::kStatic, 1, FaultPlan{});
+  const EngineRun ref = run_engine(g, 1, FaultPlan{});
   Network::Options options;
   options.num_threads = 8;
-  options.sched.mode = SchedMode::kWorkSteal;
   options.sched.profile = true;
   Network net(g, Model::kCongest, 5, 48, options);
   const congest::RunStats stats = net.run(israeli_itai_factory(), 512);

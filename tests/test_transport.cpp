@@ -3,8 +3,8 @@
 // fewer real rounds than the plain ARQ under loss, zero cost without it
 // — and the heavy-tailed Pareto delay model must stay inside every
 // determinism contract: bit-identical matchings, RunStats, metrics and
-// traces across thread counts, sched modes and both executors, with the
-// re-derived K = 4 RTO never declaring a merely-slow link dead.
+// traces across thread counts (and so shard counts) and both executors,
+// with the re-derived K = 4 RTO never declaring a merely-slow link dead.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -30,11 +30,8 @@ using congest::Model;
 using congest::Network;
 using congest::ResilientOptions;
 using congest::RunStats;
-using support::SchedMode;
 
 const unsigned kThreadCounts[] = {1, 2, 8};
-const SchedMode kSchedModes[] = {SchedMode::kStatic, SchedMode::kWorkSteal,
-                                 SchedMode::kRapidStart};
 
 FaultPlan drop_plan(double drop, std::uint64_t seed) {
   FaultPlan plan;
@@ -76,12 +73,10 @@ struct TransportRun {
 
 TransportRun run_transport(const Graph& g, const FaultPlan& plan,
                            const ResilientOptions& ropts, unsigned threads,
-                           SchedMode mode = SchedMode::kStatic,
                            std::uint64_t proto_seed = 9) {
   obs::Observer ob;
   Network::Options options;
   options.num_threads = threads;
-  options.sched.mode = mode;
   options.fault = plan;
   options.observer = &ob;
   Network net(g, Model::kCongest, proto_seed, 48, options);
@@ -245,11 +240,11 @@ TEST(Rto, RederivedMultCutsSpuriousTimeouts) {
   EXPECT_LE(rounds_k4, rounds_k2 + rounds_k2 / 10);
 }
 
-TEST(HeavyTail, FullArmorBitIdenticalAcrossThreadsAndSchedModes) {
+TEST(HeavyTail, FullArmorBitIdenticalAcrossThreads) {
   // The acceptance gate: FEC + speculative retransmit under the
   // heavy-tailed plan plus crash-restart, byte-identical matchings,
-  // RunStats-derived metrics and traces for every thread count and
-  // every sched mode.
+  // RunStats-derived metrics and traces for every thread count (1, 8
+  // and 32 shards).
   const Graph g = gen::gnp(80, 0.1, 19);
   FaultPlan plan = heavy_plan(191);
   plan.crash_prob = 0.04;
@@ -263,15 +258,10 @@ TEST(HeavyTail, FullArmorBitIdenticalAcrossThreadsAndSchedModes) {
   const TransportRun base = run_transport(g, plan, opts, 1);
   EXPECT_TRUE(base.matching.is_valid(g));
   for (const unsigned threads : kThreadCounts) {
-    for (const SchedMode mode : kSchedModes) {
-      const TransportRun run = run_transport(g, plan, opts, threads, mode);
-      EXPECT_TRUE(run.matching == base.matching)
-          << "threads=" << threads << " mode=" << static_cast<int>(mode);
-      EXPECT_EQ(run.metrics, base.metrics)
-          << "threads=" << threads << " mode=" << static_cast<int>(mode);
-      EXPECT_TRUE(run.trace == base.trace)
-          << "threads=" << threads << " mode=" << static_cast<int>(mode);
-    }
+    const TransportRun run = run_transport(g, plan, opts, threads);
+    EXPECT_TRUE(run.matching == base.matching) << "threads=" << threads;
+    EXPECT_EQ(run.metrics, base.metrics) << "threads=" << threads;
+    EXPECT_TRUE(run.trace == base.trace) << "threads=" << threads;
   }
 }
 

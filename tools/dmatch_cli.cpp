@@ -25,11 +25,6 @@
 //   --threads N      worker count for the simulated networks and the
 //                    async executor (0 = hardware concurrency, default 1;
 //                    results are bit-identical for any value)
-//   --sched-mode M   dispatcher scheduling mode: static | steal | rapid
-//                    (default static; results are bit-identical across
-//                    modes — only wall-clock behavior differs)
-//   --pin 0|1        pin engine workers to CPUs round-robin (Linux only;
-//                    best-effort, default 0)
 //
 // Fault injection (maximal, mcm-bipartite, mcm-general, mwm):
 //   --fault-drop P     per-message drop probability
@@ -68,19 +63,19 @@
 //   --rto-var-mult K    RTO deviation multiplier (srtt + K*rttvar);
 //                       default 2, or 4 when --delay-model pareto (the
 //                       re-derived heavy-tail value)
+//
+// Exit code: 0 on success, 1 on a runtime error, 2 on usage errors (an
+// unknown flag, a flag without a value, a malformed value).
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "obs/obs.hpp"
 
+#include "args.hpp"
 #include "core/api.hpp"
 #include "graph/blossom.hpp"
-#include "graph/generators.hpp"
 #include "graph/hopcroft_karp.hpp"
 #include "graph/hungarian.hpp"
 #include "graph/io.hpp"
@@ -89,61 +84,13 @@ using namespace dmatch;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-};
-
-std::optional<Args> parse(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) return std::nullopt;
-    args.options[key.substr(2)] = argv[i + 1];
-  }
-  return args;
-}
+using tools::Args;
 
 Graph load_graph(const Args& args) {
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+  const auto seed = args.num<std::uint64_t>("seed", 1);
   Graph g;
-  if (const std::string spec = args.get("gen"); !spec.empty()) {
-    const auto colon = spec.find(':');
-    DMATCH_EXPECTS(colon != std::string::npos);
-    const std::string kind = spec.substr(0, colon);
-    std::vector<double> params;
-    std::stringstream ss(spec.substr(colon + 1));
-    for (std::string item; std::getline(ss, item, ',');) {
-      params.push_back(std::stod(item));
-    }
-    if (kind == "gnp") {
-      DMATCH_EXPECTS(params.size() == 2);
-      g = gen::gnp(static_cast<NodeId>(params[0]), params[1], seed);
-    } else if (kind == "bip") {
-      DMATCH_EXPECTS(params.size() == 3);
-      g = gen::bipartite_gnp(static_cast<NodeId>(params[0]),
-                             static_cast<NodeId>(params[1]), params[2], seed);
-    } else if (kind == "cycle") {
-      DMATCH_EXPECTS(params.size() == 1);
-      g = gen::cycle(static_cast<NodeId>(params[0]));
-    } else if (kind == "tree") {
-      DMATCH_EXPECTS(params.size() == 1);
-      g = gen::random_tree(static_cast<NodeId>(params[0]), seed);
-    } else if (kind == "ba") {
-      DMATCH_EXPECTS(params.size() == 2);
-      g = gen::barabasi_albert(static_cast<NodeId>(params[0]),
-                               static_cast<int>(params[1]), seed);
-    } else {
-      DMATCH_EXPECTS(!"unknown generator spec");
-    }
+  if (args.has("gen")) {
+    g = tools::generate(args, args.get("gen"), seed);
   } else {
     const std::string path = args.get("input");
     DMATCH_EXPECTS(!path.empty());
@@ -157,29 +104,30 @@ Graph load_graph(const Args& args) {
   }
   if (const std::string w = args.get("weights"); !w.empty()) {
     const auto comma = w.find(',');
-    DMATCH_EXPECTS(comma != std::string::npos);
-    g = gen::with_uniform_weights(g, std::stod(w.substr(0, comma)),
-                                  std::stod(w.substr(comma + 1)), seed + 1);
+    if (comma == std::string::npos) args.usage("--weights: expected LO,HI");
+    g = gen::with_uniform_weights(
+        g, args.parse<double>("--weights", w.substr(0, comma)),
+        args.parse<double>("--weights", w.substr(comma + 1)), seed + 1);
   }
   return g;
 }
 
 congest::FaultPlan parse_fault_plan(const Args& args) {
   congest::FaultPlan plan;
-  plan.drop_prob = std::stod(args.get("fault-drop", "0"));
-  plan.duplicate_prob = std::stod(args.get("fault-dup", "0"));
-  plan.delay_prob = std::stod(args.get("fault-delay", "0"));
-  plan.reorder_prob = std::stod(args.get("fault-reorder", "0"));
-  plan.crash_prob = std::stod(args.get("fault-crash", "0"));
-  plan.restart_prob = std::stod(args.get("fault-restart", "0"));
-  plan.seed = std::stoull(args.get("fault-seed", "1"));
-  plan.max_delay = std::stoi(args.get("max-delay", "3"));
-  plan.pareto_alpha = std::stod(args.get("pareto-alpha", "1.1"));
+  plan.drop_prob = args.num("fault-drop", 0.0);
+  plan.duplicate_prob = args.num("fault-dup", 0.0);
+  plan.delay_prob = args.num("fault-delay", 0.0);
+  plan.reorder_prob = args.num("fault-reorder", 0.0);
+  plan.crash_prob = args.num("fault-crash", 0.0);
+  plan.restart_prob = args.num("fault-restart", 0.0);
+  plan.seed = args.num<std::uint64_t>("fault-seed", 1);
+  plan.max_delay = args.num("max-delay", 3);
+  plan.pareto_alpha = args.num("pareto-alpha", 1.1);
   const std::string model = args.get("delay-model", "uniform");
   if (model == "pareto") {
     plan.delay_model = congest::DelayModel::kPareto;
-  } else {
-    DMATCH_EXPECTS(model == "uniform");
+  } else if (model != "uniform") {
+    args.usage("--delay-model: expected uniform | pareto");
   }
   return plan;
 }
@@ -219,10 +167,10 @@ void report(const Graph& g, const Matching& m, const congest::RunStats* stats,
   }
 }
 
-int run(const Args& args) {
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+int run(const std::string& command, const Args& args) {
+  const auto seed = args.num<std::uint64_t>("seed", 1);
 
-  if (args.command == "generate") {
+  if (command == "generate") {
     const Graph g = load_graph(args);
     write_edge_list(std::cout, g);
     return 0;
@@ -231,16 +179,15 @@ int run(const Args& args) {
   const Graph g = load_graph(args);
   const congest::FaultPlan fault = parse_fault_plan(args);
   if (fault.any() &&
-      (args.command == "mwm-local" || args.command == "exact")) {
-    std::cerr << "fault injection is not supported for " << args.command
+      (command == "mwm-local" || command == "exact")) {
+    std::cerr << "fault injection is not supported for " << command
               << "\n";
     return 2;
   }
   // Observability sinks (shared across every network the run creates).
   const std::string trace_out = args.get("trace-out");
   const std::string metrics_out = args.get("metrics-out");
-  const std::size_t profile_links =
-      static_cast<std::size_t>(std::stoul(args.get("profile-links", "0")));
+  const auto profile_links = args.num<std::size_t>("profile-links", 0);
   std::unique_ptr<obs::Observer> observer;
   if (!trace_out.empty() || !metrics_out.empty() || profile_links > 0) {
     obs::ObsConfig cfg;
@@ -248,34 +195,19 @@ int run(const Args& args) {
     cfg.metrics = true;
     cfg.profile_links = true;
     if (profile_links > 0) cfg.top_k = profile_links;
-    cfg.trace_capacity =
-        static_cast<std::size_t>(std::stoul(args.get("trace-cap", "0")));
-    cfg.profile_sketch =
-        static_cast<std::size_t>(std::stoul(args.get("profile-sketch", "0")));
+    cfg.trace_capacity = args.num<std::size_t>("trace-cap", 0);
+    cfg.profile_sketch = args.num<std::size_t>("profile-sketch", 0);
     observer = std::make_unique<obs::Observer>(cfg);
   }
 
-  const unsigned num_threads =
-      static_cast<unsigned>(std::stoul(args.get("threads", "1")));
-
-  support::SchedOptions sched;
-  if (const std::string mode = args.get("sched-mode"); !mode.empty()) {
-    const auto parsed = support::parse_sched_mode(mode);
-    if (!parsed.has_value()) {
-      std::cerr << "unknown --sched-mode: " << mode
-                << " (expected static | steal | rapid)\n";
-      return 2;
-    }
-    sched.mode = *parsed;
-  }
-  sched.pin_threads = args.get("pin", "0") != "0";
+  const auto num_threads = args.num<unsigned>("threads", 1);
 
   congest::ResilientOptions arq;
-  arq.window = std::stoi(args.get("arq-window", std::to_string(arq.window)));
+  arq.window = args.num("arq-window", arq.window);
   DMATCH_EXPECTS(arq.window >= 1);
-  arq.fec_group = std::stoi(args.get("fec-group", "0"));
+  arq.fec_group = args.num("fec-group", 0);
   DMATCH_EXPECTS(arq.fec_group >= 0 && arq.fec_group <= 16);
-  arq.spec_retx = std::stoi(args.get("spec-retx", "0"));
+  arq.spec_retx = args.num("spec-retx", 0);
   DMATCH_EXPECTS(arq.spec_retx >= 0 && arq.spec_retx <= 2);
   // The heavy-tailed delay model gets the re-derived RTO deviation
   // multiplier by default (see ResilientOptions::rto_var_mult);
@@ -283,59 +215,55 @@ int run(const Args& args) {
   const int default_mult =
       fault.delay_model == congest::DelayModel::kPareto ? 4
                                                         : arq.rto_var_mult;
-  arq.rto_var_mult =
-      std::stoi(args.get("rto-var-mult", std::to_string(default_mult)));
+  arq.rto_var_mult = args.num("rto-var-mult", default_mult);
   DMATCH_EXPECTS(arq.rto_var_mult >= 1);
 
   congest::Network::Options net_options;
   net_options.num_threads = num_threads;
-  net_options.sched = sched;
   net_options.fault = fault;
   net_options.observer = observer.get();
-  if (args.command == "maximal") {
+  if (command == "maximal") {
     IsraeliItaiOptions options;
     options.arq = arq;
     const auto result = maximal_matching(g, seed, 48, net_options, options);
     report(g, result.matching, &result.stats, args);
     if (fault.any()) report_degradation(result.degradation);
-  } else if (args.command == "mcm-bipartite") {
+  } else if (command == "mcm-bipartite") {
     BipartiteMcmOptions options;
-    options.k = std::stoi(args.get("k", "5"));
+    options.k = args.num("k", 5);
     options.phase.arq = arq;
     const auto result = approx_mcm_bipartite(g, seed, options, 48, net_options);
     report(g, result.matching, &result.stats, args);
     if (fault.any()) report_degradation(result.degradation);
-  } else if (args.command == "mcm-general") {
+  } else if (command == "mcm-general") {
     GeneralMcmOptions options;
-    options.k = std::stoi(args.get("k", "3"));
+    options.k = args.num("k", 3);
     options.seed = seed;
     options.num_threads = num_threads;
-    options.sched = sched;
     options.fault = fault;
     options.arq = arq;
     options.observer = observer.get();
     const auto result = approx_mcm_general(g, options);
     report(g, result.matching, &result.stats, args);
     if (fault.any()) report_degradation(result.degradation);
-  } else if (args.command == "mwm") {
+  } else if (command == "mwm") {
     HalfMwmOptions options;
-    options.epsilon = std::stod(args.get("epsilon", "0.1"));
+    options.epsilon = args.num("epsilon", 0.1);
     options.seed = seed;
     options.num_threads = num_threads;
-    options.sched = sched;
     options.fault = fault;
     options.arq = arq;
     options.observer = observer.get();
     const auto result = approx_mwm(g, options);
     report(g, result.matching, &result.stats, args);
     if (fault.any()) report_degradation(result.degradation);
-  } else if (args.command == "mwm-local") {
+  } else if (command == "mwm-local") {
     LocalMwmOptions options;
-    options.epsilon = std::stod(args.get("epsilon", "0.34"));
+    options.epsilon = args.num("epsilon", 0.34);
     options.seed = seed;
     const auto result = local_one_minus_eps_mwm(g, options);
     report(g, result.matching, &result.stats, args);
-  } else if (args.command == "exact") {
+  } else if (command == "exact") {
     const auto side = g.bipartition();
     bool weighted = false;
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -352,7 +280,7 @@ int run(const Args& args) {
     }
     report(g, m, nullptr, args);
   } else {
-    std::cerr << "unknown command: " << args.command << "\n";
+    std::cerr << "unknown command: " << command << "\n";
     return 2;
   }
 
@@ -385,15 +313,23 @@ int run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse(argc, argv);
-  if (!args.has_value()) {
+  if (argc < 2) {
     std::cerr << "usage: dmatch_cli <maximal|mcm-bipartite|mcm-general|mwm|"
                  "mwm-local|exact|generate> [--key value ...]\n"
                  "see the header of tools/dmatch_cli.cpp for details\n";
     return 2;
   }
+  const Args args(
+      "dmatch_cli", argc, argv, 2,
+      {"input",         "gen",           "weights",      "seed",
+       "k",             "epsilon",       "dot",          "threads",
+       "fault-drop",    "fault-dup",     "fault-delay",  "fault-reorder",
+       "fault-crash",   "fault-restart", "fault-seed",   "delay-model",
+       "max-delay",     "pareto-alpha",  "trace-out",    "metrics-out",
+       "trace-cap",     "profile-links", "profile-sketch", "arq-window",
+       "fec-group",     "spec-retx",     "rto-var-mult"});
   try {
-    return run(*args);
+    return run(argv[1], args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -7,7 +7,8 @@
 //   --transport T      tcp = one OS process per rank over a localhost
 //                      mesh (default); loopback = one thread per rank
 //                      over in-process queues
-//   --gen SPEC         gnp:N,P | bip:NX,NY,P | cycle:N (default gnp:64,0.06)
+//   --gen SPEC         gnp:N,P | bip:NX,NY,P | cycle:N | tree:N | ba:N,M
+//                      (default gnp:64,0.06)
 //   --seed S           randomness seed (default 1)
 //   --rounds R         round budget (default 256)
 //   --base-port P      first TCP port, rank r listens on P+r (default 23700)
@@ -25,15 +26,14 @@
 //   --metrics-out FILE rank 0's merged metrics registry as JSON (equals
 //                      the single-process export byte for byte)
 //
-// Exit code: 0 on success, 1 if the protocol tripped, 2 on usage errors.
+// Exit code: 0 on success, 1 if the protocol tripped, 2 on usage errors,
+// 3 if a rank failed with an error.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -41,10 +41,10 @@
 #include <unistd.h>
 #include <vector>
 
+#include "args.hpp"
 #include "congest/fault.hpp"
 #include "congest/network.hpp"
 #include "core/israeli_itai.hpp"
-#include "graph/generators.hpp"
 #include "mp/engine.hpp"
 #include "mp/transport.hpp"
 #include "obs/obs.hpp"
@@ -54,61 +54,18 @@ namespace {
 
 using namespace dmatch;
 
-struct Args {
-  std::map<std::string, std::string> options;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-};
-
-std::optional<Args> parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) return std::nullopt;
-    args.options[key.substr(2)] = argv[i + 1];
-  }
-  if (argc >= 2 && argc % 2 == 0) return std::nullopt;  // dangling flag
-  return args;
-}
-
-Graph make_graph(const Args& args, std::uint64_t seed) {
-  const std::string spec = args.get("gen", "gnp:64,0.06");
-  const auto colon = spec.find(':');
-  DMATCH_EXPECTS(colon != std::string::npos);
-  const std::string kind = spec.substr(0, colon);
-  std::vector<double> params;
-  std::stringstream ss(spec.substr(colon + 1));
-  for (std::string item; std::getline(ss, item, ',');) {
-    params.push_back(std::stod(item));
-  }
-  if (kind == "gnp") {
-    DMATCH_EXPECTS(params.size() == 2);
-    return gen::gnp(static_cast<NodeId>(params[0]), params[1], seed);
-  }
-  if (kind == "bip") {
-    DMATCH_EXPECTS(params.size() == 3);
-    return gen::bipartite_gnp(static_cast<NodeId>(params[0]),
-                              static_cast<NodeId>(params[1]), params[2],
-                              seed);
-  }
-  DMATCH_EXPECTS(kind == "cycle" && params.size() == 1);
-  return gen::cycle(static_cast<NodeId>(params[0]));
-}
+using tools::Args;
 
 congest::FaultPlan parse_fault_plan(const Args& args) {
   congest::FaultPlan plan;
-  plan.drop_prob = std::stod(args.get("fault-drop", "0"));
-  plan.duplicate_prob = std::stod(args.get("fault-dup", "0"));
-  plan.delay_prob = std::stod(args.get("fault-delay", "0"));
-  plan.reorder_prob = std::stod(args.get("fault-reorder", "0"));
-  plan.crash_prob = std::stod(args.get("fault-crash", "0"));
-  plan.restart_prob = std::stod(args.get("fault-restart", "0"));
-  plan.seed = std::stoull(args.get("fault-seed", "1"));
-  plan.max_delay = std::stoi(args.get("max-delay", "3"));
+  plan.drop_prob = args.num("fault-drop", 0.0);
+  plan.duplicate_prob = args.num("fault-dup", 0.0);
+  plan.delay_prob = args.num("fault-delay", 0.0);
+  plan.reorder_prob = args.num("fault-reorder", 0.0);
+  plan.crash_prob = args.num("fault-crash", 0.0);
+  plan.restart_prob = args.num("fault-restart", 0.0);
+  plan.seed = args.num<std::uint64_t>("fault-seed", 1);
+  plan.max_delay = args.num("max-delay", 3);
   return plan;
 }
 
@@ -240,6 +197,7 @@ int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port) {
 int run_loopback(const Graph& g, const RankConfig& cfg) {
   mp::LoopbackHub hub(cfg.procs);
   std::vector<mp::MpResult> results(cfg.procs);
+  std::vector<char> failed(cfg.procs, 0);
   std::vector<std::thread> threads;
   for (unsigned r = 0; r < cfg.procs; ++r) {
     threads.emplace_back([&, r] {
@@ -247,51 +205,45 @@ int run_loopback(const Graph& g, const RankConfig& cfg) {
         results[r] = run_rank(r, g, cfg, hub.endpoint(r));
       } catch (const std::exception& e) {
         std::cerr << "rank " << r << ": " << e.what() << "\n";
+        failed[r] = 1;
       }
       if (results[r].simulated_death) hub.kill(r);
     });
   }
   for (auto& t : threads) t.join();
+  if (std::find(failed.begin(), failed.end(), 1) != failed.end()) return 3;
   return results[0].tripped ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse(argc, argv);
-  if (!args) {
-    std::cerr << "usage: dmatch_mp [--procs K] [--transport tcp|loopback] "
-                 "[--gen SPEC] [--seed S] [--rounds R] [--base-port P] "
-                 "[--heartbeat-ms MS] [--retries N] [--kill-rank R "
-                 "--kill-round N] [--fault-* ...] [--trace-out PREFIX] "
-                 "[--metrics-out FILE]\n";
-    return 2;
-  }
+  const Args args("dmatch_mp", argc, argv, 1,
+                  {"procs", "transport", "gen", "seed", "rounds", "base-port",
+                   "heartbeat-ms", "retries", "kill-rank", "kill-round",
+                   "fault-drop", "fault-dup", "fault-delay", "fault-reorder",
+                   "fault-crash", "fault-restart", "fault-seed", "max-delay",
+                   "trace-out", "metrics-out"});
   RankConfig cfg;
-  cfg.procs = static_cast<unsigned>(std::stoul(args->get("procs", "2")));
-  cfg.seed = std::stoull(args->get("seed", "1"));
-  cfg.rounds = std::stoi(args->get("rounds", "256"));
-  cfg.fault = parse_fault_plan(*args);
-  cfg.group.heartbeat_timeout_ms =
-      std::stoi(args->get("heartbeat-ms", "2000"));
-  cfg.group.recv_retries = std::stoi(args->get("retries", "2"));
-  cfg.kill_rank = std::stoi(args->get("kill-rank", "-1"));
-  cfg.kill_round = std::stoi(args->get("kill-round", "-1"));
-  cfg.trace_prefix = args->get("trace-out");
-  cfg.metrics_out = args->get("metrics-out");
-  const std::string transport = args->get("transport", "tcp");
+  cfg.procs = args.num<unsigned>("procs", 2);
+  cfg.seed = args.num<std::uint64_t>("seed", 1);
+  cfg.rounds = args.num("rounds", 256);
+  cfg.fault = parse_fault_plan(args);
+  cfg.group.heartbeat_timeout_ms = args.num("heartbeat-ms", 2000);
+  cfg.group.recv_retries = args.num("retries", 2);
+  cfg.kill_rank = args.num("kill-rank", -1);
+  cfg.kill_round = args.num("kill-round", -1);
+  cfg.trace_prefix = args.get("trace-out");
+  cfg.metrics_out = args.get("metrics-out");
+  const std::string transport = args.get("transport", "tcp");
   cfg.tcp = transport == "tcp";
   if (!cfg.tcp && transport != "loopback") {
-    std::cerr << "unknown transport: " << transport << "\n";
-    return 2;
+    args.usage("--transport: expected tcp | loopback");
   }
-  if (cfg.procs == 0 || cfg.procs > 64) {
-    std::cerr << "procs must be in 1..64\n";
-    return 2;
-  }
-  const Graph g = make_graph(*args, cfg.seed);
+  if (cfg.procs == 0 || cfg.procs > 64) args.usage("--procs: must be 1..64");
+  const auto base_port = args.num<std::uint16_t>("base-port", 23700);
+  const Graph g =
+      tools::generate(args, args.get("gen", "gnp:64,0.06"), cfg.seed);
   if (!cfg.tcp) return run_loopback(g, cfg);
-  const auto base_port =
-      static_cast<std::uint16_t>(std::stoul(args->get("base-port", "23700")));
   return run_tcp(g, cfg, base_port);
 }

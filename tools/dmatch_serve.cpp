@@ -6,8 +6,8 @@
 //   dmatch_serve [--key value ...]
 //
 // Options:
-//   --gen SPEC        initial topology: gnp:N,P | cycle:N | tree:N |
-//                     ba:N,M (default gnp:2000,0.002)
+//   --gen SPEC        initial topology: gnp:N,P | bip:NX,NY,P | cycle:N |
+//                     tree:N | ba:N,M (default gnp:2000,0.002)
 //   --mode M          workload profile: uniform | hotspot | flap
 //                     (default uniform)
 //   --ops N           total workload ops to replay (default 2000)
@@ -23,7 +23,6 @@
 //                     0 forces every epoch to a full recompute)
 //   --threads N       repair engine worker count (default 1; trajectory
 //                     is bit-identical for any value)
-//   --sched-mode M    static | steal | rapid (default static)
 //   --seed S          seed for topology, workload, and engine (default 1)
 //   --certify 0|1     certify every epoch against core/verify, including
 //                     the exact optimum / approximation ratio (default 0;
@@ -41,92 +40,29 @@
 // The schedule's depart/return ops are merged into the workload stream
 // by timestamp, so the service absorbs the same failure history a
 // faulted static run would see — as ordinary churn.
+//
+// Exit code: 0 on success, 1 if an epoch fails certification, 2 on usage
+// errors (an unknown flag, a flag without a value, a malformed value).
 #include <algorithm>
 #include <cstdio>
-#include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "congest/fault.hpp"
 #include "dyn/service.hpp"
 #include "dyn/workload.hpp"
-#include "graph/generators.hpp"
-#include "support/assert.hpp"
 
 using namespace dmatch;
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> options;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return options.count(key) != 0;
-  }
-};
-
-std::optional<Args> parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) return std::nullopt;
-    args.options[key.substr(2)] = argv[i + 1];
-  }
-  if (argc >= 2 && (argc % 2) == 0) return std::nullopt;  // dangling key
-  return args;
-}
-
-Graph make_graph(const std::string& spec, std::uint64_t seed) {
-  const auto colon = spec.find(':');
-  DMATCH_EXPECTS(colon != std::string::npos);
-  const std::string kind = spec.substr(0, colon);
-  std::vector<double> params;
-  std::stringstream ss(spec.substr(colon + 1));
-  for (std::string item; std::getline(ss, item, ',');) {
-    params.push_back(std::stod(item));
-  }
-  if (kind == "gnp") {
-    DMATCH_EXPECTS(params.size() == 2);
-    return gen::gnp(static_cast<NodeId>(params[0]), params[1], seed);
-  }
-  if (kind == "cycle") {
-    DMATCH_EXPECTS(params.size() == 1);
-    return gen::cycle(static_cast<NodeId>(params[0]));
-  }
-  if (kind == "tree") {
-    DMATCH_EXPECTS(params.size() == 1);
-    return gen::random_tree(static_cast<NodeId>(params[0]), seed);
-  }
-  if (kind == "ba") {
-    DMATCH_EXPECTS(params.size() == 2);
-    return gen::barabasi_albert(static_cast<NodeId>(params[0]),
-                                static_cast<int>(params[1]), seed);
-  }
-  DMATCH_EXPECTS(!"unknown generator spec");
-  return Graph{};
-}
-
-dyn::WorkloadMode parse_mode(const std::string& s) {
+dyn::WorkloadMode parse_mode(const tools::Args& args) {
+  const std::string s = args.get("mode", "uniform");
   if (s == "uniform") return dyn::WorkloadMode::kUniform;
   if (s == "hotspot") return dyn::WorkloadMode::kHotspot;
-  if (s == "flap") return dyn::WorkloadMode::kAdversarialFlap;
-  DMATCH_EXPECTS(!"unknown workload mode");
-  return dyn::WorkloadMode::kUniform;
-}
-
-support::SchedMode parse_sched(const std::string& s) {
-  if (s == "static") return support::SchedMode::kStatic;
-  if (s == "steal") return support::SchedMode::kWorkSteal;
-  if (s == "rapid") return support::SchedMode::kRapidStart;
-  DMATCH_EXPECTS(!"unknown sched mode");
-  return support::SchedMode::kStatic;
+  if (s != "flap") args.usage("--mode: expected uniform | hotspot | flap");
+  return dyn::WorkloadMode::kAdversarialFlap;
 }
 
 void print_epoch(const dyn::EpochReport& r) {
@@ -148,53 +84,51 @@ void print_epoch(const dyn::EpochReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Args> parsed = parse(argc, argv);
-  if (!parsed) {
-    std::fprintf(stderr, "usage: dmatch_serve [--key value ...] "
-                         "(see header comment)\n");
-    return 2;
-  }
-  const Args& args = *parsed;
+  const tools::Args args(
+      "dmatch_serve", argc, argv, 1,
+      {"gen", "mode", "ops", "max-ops", "max-latency", "hops", "quality-k",
+       "fallback", "threads", "seed", "certify", "quiet", "fault-crash",
+       "fault-restart", "restart-delay", "crash-bound", "horizon",
+       "us-per-round", "fault-seed"});
 
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
-  const Graph g = make_graph(args.get("gen", "gnp:2000,0.002"), seed);
+  const auto seed = args.num<std::uint64_t>("seed", 1);
+  const Graph g =
+      tools::generate(args, args.get("gen", "gnp:2000,0.002"), seed);
 
   dyn::ServiceOptions so;
-  so.limits.max_ops = std::stoul(args.get("max-ops", "16"));
-  so.limits.max_latency_us = std::stoull(args.get("max-latency", "20000"));
-  so.repair.dirty_hops = std::stoi(args.get("hops", "2"));
-  so.repair.quality_k = std::stoi(args.get("quality-k", "1"));
-  so.repair.fallback_fraction = std::stod(args.get("fallback", "0.25"));
-  so.repair.num_threads =
-      static_cast<unsigned>(std::stoul(args.get("threads", "1")));
-  so.repair.sched.mode = parse_sched(args.get("sched-mode", "static"));
+  so.limits.max_ops = args.num<std::size_t>("max-ops", 16);
+  so.limits.max_latency_us = args.num<std::uint64_t>("max-latency", 20000);
+  so.repair.dirty_hops = args.num("hops", 2);
+  so.repair.quality_k = args.num("quality-k", 1);
+  so.repair.fallback_fraction = args.num("fallback", 0.25);
+  so.repair.num_threads = args.num<unsigned>("threads", 1);
   so.repair.seed = seed;
-  const bool certify = args.get("certify", "0") == "1";
+  const bool certify = args.num("certify", 0) != 0;
   so.repair.certify = certify;
   so.repair.certify_ratio = certify;
-  const bool quiet = args.get("quiet", "0") == "1";
-
-  dyn::MatchingService svc(g, so);
+  const bool quiet = args.num("quiet", 0) != 0;
 
   // Workload stream.
   dyn::WorkloadOptions wo;
-  wo.mode = parse_mode(args.get("mode", "uniform"));
+  wo.mode = parse_mode(args);
   wo.seed = seed;
-  const std::size_t total_ops = std::stoul(args.get("ops", "2000"));
+  const auto total_ops = args.num<std::size_t>("ops", 2000);
+
+  dyn::MatchingService svc(g, so);
 
   // Optional crash schedule, expressed as session churn and merged into
   // the workload stream by timestamp.
   std::vector<dyn::UpdateOp> crash_ops;
   if (args.has("fault-crash")) {
     congest::FaultPlan plan;
-    plan.crash_prob = std::stod(args.get("fault-crash"));
-    plan.restart_prob = std::stod(args.get("fault-restart", "0.8"));
-    plan.restart_delay = std::stoull(args.get("restart-delay", "50"));
-    const auto horizon = std::stoull(args.get("horizon", "400"));
-    plan.crash_round_bound = std::stoull(
-        args.get("crash-bound", std::to_string(horizon / 2)));
-    plan.seed = std::stoull(args.get("fault-seed", "1"));
-    const auto us_per_round = std::stoull(args.get("us-per-round", "100"));
+    plan.crash_prob = args.num("fault-crash", 0.0);
+    plan.restart_prob = args.num("fault-restart", 0.8);
+    plan.restart_delay = args.num<std::uint64_t>("restart-delay", 50);
+    const auto horizon = args.num<std::uint64_t>("horizon", 400);
+    plan.crash_round_bound =
+        args.num<std::uint64_t>("crash-bound", horizon / 2);
+    plan.seed = args.num<std::uint64_t>("fault-seed", 1);
+    const auto us_per_round = args.num<std::uint64_t>("us-per-round", 100);
     crash_ops = dyn::churn_from_crash_plan(plan, g.node_count(), horizon,
                                            us_per_round);
     std::printf("crash schedule: %zu depart/return ops over %llu rounds\n",

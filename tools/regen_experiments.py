@@ -159,8 +159,9 @@ ENTRIES = [
      "rounds/messages for any worker-thread count and scale\n"
      "node-steps-per-second with threads up to the core count.\n\n"
      "**Expectation.** `rounds`/`messages` constant down each `n` block;\n"
-     "`speedup vs 1T` ≥ 2 at 4 threads on `n = 1e5` on ≥ 4 cores. Also\n"
-     "writes `BENCH_round_engine.json` at the repo root.\n"),
+     "`speedup vs 1T` ≥ 2 at 4 threads on `n = 1e5` on ≥ 4 cores, on the\n"
+     "skewed-degree Barabási–Albert (`ba`) row too. Also writes\n"
+     "`BENCH_round_engine.json` at the repo root.\n"),
     ("bench_fault_ratio", "E19/E20 — Graceful degradation and ARQ round overhead",
      "**Claim (engineering, not the paper's).** E19: under injected drops and\n"
      "crashes the drivers terminate within budget, return valid matchings that\n"
@@ -188,19 +189,6 @@ ENTRIES = [
      "1-core container every speedup is ≤ 1 and the determinism columns are\n"
      "the load-bearing check). Also writes `BENCH_async_scaling.json` at the\n"
      "repo root.\n"),
-    ("bench_scheduling", "E23 — Scheduling modes (static / steal / rapid)",
-     "**Claim (engineering, not the paper's).** Dispatch mode (static /\n"
-     "work-stealing / rapid-start), thread pinning and profiling change only\n"
-     "*when* shard tasks run, never results: matchings, RunStats and obs\n"
-     "artifacts are byte-identical across every mode × thread-count ×\n"
-     "fault-plan cell. Work stealing targets the per-shard service-time skew\n"
-     "that power-law graphs create (hub shards run hotter than the\n"
-     "balanced-partition average).\n\n"
-     "**Expectation.** Every determinism row says `identical=yes`; the\n"
-     "balance section shows max/median service-time skew well above 1 on\n"
-     "`ba_powerlaw` and ≈ 1 on `gnp`; dispatch-overhead and throughput\n"
-     "sections need real cores to rank the modes. Also writes\n"
-     "`BENCH_scheduling.json` at the repo root.\n"),
     ("bench_dyn_churn", "E26 — Dynamic matching service under churn (src/dyn)",
      "**Claim (engineering, not the paper's).** Re-matching only the k-hop\n"
      "dirty region around each epoch's updates — boundary pairs frozen, run\n"
@@ -258,7 +246,6 @@ SUMMARY = """## Summary
 | E20 | selective-repeat ARQ overhead | ~1.03× lossless, ≤ 2× through 5 % drops; window 16 does NOT close the 10 %-drop gap (loss-recovery-bound) |
 | E21 | observability overhead | < 5 % enabled on the protocol round loop; 0 % compiled out |
 | E22 | sharded async executor scaling | thread-count-invariant events/rounds/matchings; multicore speedup needs real cores |
-| E23 | scheduling modes (static/steal/rapid) | determinism cells identical across mode × threads × faults; hub-shard skew on power-law graphs = the slack stealing targets; timing needs real cores |
 | E26 | dynamic matching under churn (src/dyn) | incremental dirty-region repair beats full recompute on p50 and p99 at ≤ 1% churn in every profile; falls back past the region threshold at 5%; every epoch certified maximal |
 | E27 | beyond-maximal quality ladder under churn (src/dyn/augment) | every certified epoch at ≤ 1% churn holds ratio ≥ 1 − 1/k for k ∈ {2, 3}; incremental p99 stays within 3× of the k = 1 path; 0 invalid matchings |
 
@@ -280,8 +267,9 @@ def bench_json_section() -> str:
         "\n## Machine-readable results\n\n"
         "Written at the repo root by the bench binaries (schema\n"
         '`{"bench", "commit", "machine", "cells": [...]}` — the `machine`\n'
-        "object records `hardware_concurrency`, pinning support and the\n"
-        "sched mode, so timing cells are interpretable off-box):\n\n"
+        "object records `hardware_concurrency`, so timing cells are\n"
+        "interpretable off-box; a `-dirty` commit means the files were\n"
+        "recorded from uncommitted changes on top of that commit):\n\n"
         "| file | bench | commit | cells |\n|---|---|---|---|\n"
     )
     for f in files:

@@ -101,18 +101,23 @@ RunFrame State::begin_run(const FaultPlan& plan) {
 }
 
 void State::bind(ShardRun& sh, unsigned s, const RunFrame& rf) {
+  sh.stats = RunStats{};
+  sh.pending_extras = 0;
+  sh.undo.clear();
+  sh.obs = nullptr;
   sh.regs = reg.shard_view(s);
   sh.rngs = rng.shard_view(s);
   sh.gates = gates.shard_view(s);
+  for (std::vector<LateMsg>& bucket : sh.ring) bucket.clear();
   sh.ring.resize(static_cast<std::size_t>(rf.delay_window));
 }
 
-void State::spawn(ShardRun& sh, const RunFrame& rf, std::size_t vb,
-                  std::size_t ve, const ProcessFactory& factory,
+void State::spawn(ShardRun& sh, const RunFrame& rf,
+                  std::span<const NodeId> nodes, const ProcessFactory& factory,
                   std::vector<std::unique_ptr<Process>>& procs,
                   std::uint64_t dead_round) {
-  for (std::size_t vi = vb; vi < ve; ++vi) {
-    const auto v = static_cast<NodeId>(vi);
+  for (const NodeId v : nodes) {
+    const auto vi = static_cast<std::size_t>(v);
     if (rf.faults()) {
       respawn_pending[vi] = 0;
       // A crash-restart interval that completed before this run began:
@@ -198,7 +203,6 @@ void State::close_run(ShardRun& sh, const RunFrame& rf, int executed,
 
 void State::end_run(const RunFrame& rf, int executed) {
   epoch += 2;
-  gates.fill(NodeGate{});
   lifetime_rounds = rf.life_round(executed);
 }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -147,8 +148,10 @@ struct RunStats {
 /// never scheduled, and silently discards anything addressed to it —
 /// the zero-allocation form of a process that is born halted. Callers
 /// that re-run protocols on a small region of a large persistent
-/// network (src/dyn) park everything outside the region this way, so a
-/// multi-phase repair pays per-run cost proportional to the region.
+/// network (src/dyn) instead list the region's nodes for Network::run,
+/// which parks every other node without calling the factory for it and
+/// keeps its run scratch across runs, so a multi-phase repair pays
+/// per-run cost proportional to the region.
 using ProcessFactory =
     std::function<std::unique_ptr<Process>(NodeId, const Graph&)>;
 
@@ -418,13 +421,14 @@ struct State {
   /// Open a run: renormalize the epochs if due and fix the run's fault
   /// constants (advancing the fault nonce under an active plan).
   RunFrame begin_run(const FaultPlan& plan);
-  /// Bind a fresh ShardRun to slab shard `s` for the run `rf`.
+  /// Bind a ShardRun (fresh, or reused from an earlier run with its
+  /// node lists empty) to slab shard `s` for the run `rf`.
   void bind(ShardRun& sh, unsigned s, const RunFrame& rf);
-  /// Build the run's processes for nodes [vb, ve) in ascending order and
-  /// schedule the live ones: a crash-restart interval completed before
-  /// the run clears the register once, and nodes dead at lifetime round
-  /// `dead_round` wait for their restart event.
-  void spawn(ShardRun& sh, const RunFrame& rf, std::size_t vb, std::size_t ve,
+  /// Build the run's processes for `nodes` (ascending, all in the
+  /// shard) and schedule the live ones: a crash-restart interval
+  /// completed before the run clears the register once, and nodes dead
+  /// at lifetime round `dead_round` wait for their restart event.
+  void spawn(ShardRun& sh, const RunFrame& rf, std::span<const NodeId> nodes,
              const ProcessFactory& factory,
              std::vector<std::unique_ptr<Process>>& procs,
              std::uint64_t dead_round);
@@ -488,7 +492,9 @@ struct State {
                  std::size_t lo, std::size_t hi) const;
   /// Leave a run (completed or aborted): jump the epoch past both mailbox
   /// buffers so no stale message or scheduling mark leaks into a later
-  /// run, and advance the lifetime clock by the executed rounds.
+  /// run, and advance the lifetime clock by the executed rounds. The
+  /// round loop zeroes the receive counts of the nodes it leaves
+  /// scheduled, the only gates a run can leave non-zero.
   void end_run(const RunFrame& rf, int executed);
   /// Abort a round under an active plan: write back the register, RNG
   /// stream and restart flag of every node `sh` stepped this round from

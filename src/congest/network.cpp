@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <functional>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -19,6 +21,22 @@ struct alignas(64) ShardState : kernel::ShardRun {
 };
 
 }  // namespace
+
+struct Network::RunScratch {
+  std::vector<std::unique_ptr<Process>> procs;  // size n; empty between runs
+  std::vector<ShardState> shards;               // num_shards
+  // Activity lanes: lane(src, dst) carries the ids of nodes in shard dst
+  // that shard src delivered a message to; the payloads themselves go
+  // straight into the port slots. Drained by dst at the routing barrier.
+  std::vector<std::vector<NodeId>> lanes;  // num_shards²
+  // Same shape for faulty (delayed / duplicated) deliveries, which carry
+  // their payload with them because they bypass the port slots.
+  std::vector<std::vector<kernel::LateMsg>> fault_lanes;
+  // Deliveries for nodes other processes step, one lane per (sending
+  // shard, receiving process), and the batches the barrier brings in.
+  std::vector<std::vector<kernel::LateMsg>> remote;
+  std::vector<std::vector<kernel::LateMsg>> incoming;
+};
 
 Network::Network(const Graph& g, Model model, std::uint64_t seed,
                  std::uint32_t congest_factor)
@@ -45,17 +63,49 @@ Network::Network(const Graph& g, Model model, std::uint64_t seed,
   sched_->run_tasks(num_shards_,
                     [this, &root](unsigned s) { k_.build_routes(root, s); });
   k_.init_faults(options_.fault);
+  every_node_.resize(n);
+  std::iota(every_node_.begin(), every_node_.end(), NodeId{0});
+  scratch_ = std::make_unique<RunScratch>();
+  scratch_->procs.resize(n);
+  scratch_->shards.resize(num_shards_);
+  scratch_->lanes.resize(static_cast<std::size_t>(num_shards_) * num_shards_);
 }
+
+Network::~Network() = default;
 
 RunStats Network::run(const ProcessFactory& factory, int max_rounds,
                       RoundBarrier* barrier) {
-  DMATCH_EXPECTS(max_rounds >= 0);
-  const Graph& g = *g_;
-  const auto n = static_cast<std::size_t>(g.node_count());
   // The nodes this process steps: all of them, or the barrier's part.
   const unsigned parts = barrier != nullptr ? barrier->parts : 1;
   const unsigned part = barrier != nullptr ? barrier->part : 0;
   DMATCH_EXPECTS(part < parts);
+  const auto [lo, hi] =
+      support::balanced_range(every_node_.size(), parts, part);
+  return run_listed(std::span<const NodeId>(every_node_).subspan(lo, hi - lo),
+                    factory, max_rounds, barrier);
+}
+
+RunStats Network::run(std::span<const NodeId> nodes,
+                      const ProcessFactory& factory, int max_rounds) {
+  DMATCH_EXPECTS(!fault_active());
+  DMATCH_EXPECTS(std::adjacent_find(nodes.begin(), nodes.end(),
+                                    std::greater_equal<>()) == nodes.end());
+  DMATCH_EXPECTS(nodes.empty() ||
+                 (nodes.front() >= 0 &&
+                  static_cast<std::size_t>(nodes.back()) < every_node_.size()));
+  return run_listed(nodes, factory, max_rounds, nullptr);
+}
+
+RunStats Network::run_listed(std::span<const NodeId> nodes,
+                             const ProcessFactory& factory, int max_rounds,
+                             RoundBarrier* barrier) {
+  DMATCH_EXPECTS(max_rounds >= 0);
+  const Graph& g = *g_;
+  const auto n = static_cast<std::size_t>(g.node_count());
+  // The range of nodes this process steps: all of them, or the barrier's
+  // part. The listed nodes lie inside it; the rest of it is parked.
+  const unsigned parts = barrier != nullptr ? barrier->parts : 1;
+  const unsigned part = barrier != nullptr ? barrier->part : 0;
   const auto [lo, hi] = support::balanced_range(n, parts, part);
   [[maybe_unused]] const bool lead = part == 0;
   const int first_round = barrier != nullptr ? barrier->first_round : 0;
@@ -80,43 +130,74 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
                                   std::clamp(r.end, lo, hi)};
   };
 
-  std::vector<ShardState> shards(num_shards);
-  for (unsigned s = 0; s < num_shards; ++s) k_.bind(shards[s], s, rf);
-  // Activity lanes: lane(src, dst) carries the ids of nodes in shard dst
-  // that shard src delivered a message to; the payloads themselves go
-  // straight into the port slots. Drained by dst at the routing barrier.
-  std::vector<std::vector<NodeId>> lanes(
-      static_cast<std::size_t>(num_shards) * num_shards);
+  RunScratch& rs = *scratch_;
+  std::vector<ShardState>& shards = rs.shards;
+  for (unsigned s = 0; s < num_shards; ++s) {
+    shards[s].error = nullptr;
+    k_.bind(shards[s], s, rf);
+  }
   const auto lane = [&](unsigned src, unsigned dst) -> std::vector<NodeId>& {
-    return lanes[static_cast<std::size_t>(src) * num_shards + dst];
+    return rs.lanes[static_cast<std::size_t>(src) * num_shards + dst];
   };
-  // Same shape for faulty (delayed / duplicated) deliveries, which carry
-  // their payload with them because they bypass the port slots.
-  std::vector<std::vector<kernel::LateMsg>> fault_lanes(
+  rs.fault_lanes.resize(
       faults ? static_cast<std::size_t>(num_shards) * num_shards : 0);
   const auto fault_lane =
       [&](unsigned src, unsigned dst) -> std::vector<kernel::LateMsg>& {
-    return fault_lanes[static_cast<std::size_t>(src) * num_shards + dst];
+    return rs.fault_lanes[static_cast<std::size_t>(src) * num_shards + dst];
   };
-  // Deliveries for nodes other processes step, one lane per (sending
-  // shard, receiving process), and the batches the barrier brings in.
-  std::vector<std::vector<kernel::LateMsg>> remote(
+  rs.remote.resize(
       barrier != nullptr ? static_cast<std::size_t>(num_shards) * parts : 0);
   const auto remote_lane =
       [&, n, parts](unsigned s, NodeId u) -> std::vector<kernel::LateMsg>& {
-    return remote[static_cast<std::size_t>(s) * parts +
-                  support::balanced_part_of(n, parts,
-                                            static_cast<std::size_t>(u))];
+    return rs.remote[static_cast<std::size_t>(s) * parts +
+                     support::balanced_part_of(n, parts,
+                                               static_cast<std::size_t>(u))];
   };
-  std::vector<std::vector<kernel::LateMsg>> incoming;
+  std::vector<std::vector<kernel::LateMsg>>& incoming = rs.incoming;
+  std::vector<std::unique_ptr<Process>>& procs = rs.procs;
+  // Shard s's listed nodes: the sorted list cut at its range's bounds.
+  const auto shard_nodes = [&](unsigned s) {
+    const auto [vb, ve] = shard_range(s);
+    const auto first = std::lower_bound(nodes.begin(), nodes.end(),
+                                         static_cast<NodeId>(vb));
+    const auto last =
+        std::lower_bound(first, nodes.end(), static_cast<NodeId>(ve));
+    return nodes.subspan(static_cast<std::size_t>(first - nodes.begin()),
+                         static_cast<std::size_t>(last - first));
+  };
+  // Leave the scratch as the next run expects it, however this run ends:
+  // no process left behind and no receive count left on a gate.
+  struct Cleanup {
+    Network& net;
+    std::span<const NodeId> nodes;
+    ~Cleanup() {
+      RunScratch& r = *net.scratch_;
+      for (const NodeId v : nodes) r.procs[static_cast<std::size_t>(v)].reset();
+      // A receive count survives only on a node still scheduled when the
+      // run stopped (budget, trip or abort); stale marks are harmless,
+      // since end_run moves the epoch past them.
+      for (ShardState& shard : r.shards) {
+        for (const NodeId v : shard.active) {
+          shard.gates[static_cast<std::size_t>(v)] = kernel::NodeGate{};
+        }
+        for (const NodeId v : shard.next_active) {
+          shard.gates[static_cast<std::size_t>(v)] = kernel::NodeGate{};
+        }
+        shard.active.clear();
+        shard.next_active.clear();
+      }
+      for (std::vector<NodeId>& box : r.lanes) box.clear();
+      for (std::vector<kernel::LateMsg>& box : r.fault_lanes) box.clear();
+      for (std::vector<kernel::LateMsg>& box : r.remote) box.clear();
+      r.incoming.clear();
+    }
+  } cleanup{*this, nodes};
 
   // Shard-major construction: shards are contiguous ascending node
-  // ranges, so this visits nodes in global ascending order while touching
-  // each register segment exactly once.
-  std::vector<std::unique_ptr<Process>> procs(n);
+  // ranges, so this visits the listed nodes in global ascending order
+  // while touching each register segment exactly once.
   for (unsigned s = 0; s < num_shards; ++s) {
-    const auto [vb, ve] = shard_range(s);
-    k_.spawn(shards[s], rf, vb, ve, factory, procs,
+    k_.spawn(shards[s], rf, shard_nodes(s), factory, procs,
              rf.life_round(first_round));
   }
 
@@ -272,7 +353,7 @@ RunStats Network::run(const ProcessFactory& factory, int max_rounds,
                       [&step_shard](unsigned s) { step_shard(s); });
     bool ok = !failed.load(std::memory_order_relaxed);
     if (barrier != nullptr) {
-      ok = barrier->exchange(executed, !ok, remote, incoming,
+      ok = barrier->exchange(executed, !ok, rs.remote, incoming,
                              shards[0].stats);
     }
     RoundBarrier::Counts local;  // carried into the next round, and sent
@@ -476,27 +557,30 @@ Matching Network::extract_matching_resilient(DegradationReport* report) const {
   return m;
 }
 
-Matching Network::extract_matching_resilient(std::span<const NodeId> dirty,
-                                             const Matching& base,
-                                             DegradationReport* report) const {
+std::ptrdiff_t Network::refresh_matching(std::span<const NodeId> dirty,
+                                         Matching& m,
+                                         DegradationReport* report) const {
   const Graph& g = *g_;
-  DMATCH_EXPECTS(base.node_count() == g.node_count());
+  DMATCH_EXPECTS(m.node_count() == g.node_count());
   DMATCH_EXPECTS(std::is_sorted(dirty.begin(), dirty.end()));
   DegradationReport scratch;
   DegradationReport& rep = report != nullptr ? *report : scratch;
-  Matching m = base;
-  // Pass 1: drop every base pair that involves a dirty node — its half of
+  std::ptrdiff_t gained = 0;
+  // Pass 1: drop every pair of m that involves a dirty node — its half of
   // the pair is about to be re-read from the registers, and removing
   // before re-adding keeps Matching::add's both-free precondition intact.
   for (const NodeId v : dirty) {
-    if (m.is_matched(v)) m.remove(g, m.matched_edge(v));
+    if (m.is_matched(v)) {
+      m.remove(g, m.matched_edge(v));
+      --gained;
+    }
   }
   // Pass 2: re-validate exactly the dirty registers, with the same heal
   // rules as the full scan (dead nodes, dead partners, torn pointers).
   // A clean partner whose register disagrees (it still points at a third
   // node) fails the consistency check and the pair is skipped, so the
-  // caller contract — clean registers agree with base — is the only
-  // thing trusted, never re-derived state.
+  // caller contract — clean registers agree with m — is the only thing
+  // trusted, never re-derived state.
   std::uint64_t dead_now = 0;
   for (const NodeId v : dirty) {
     const auto vi = static_cast<std::size_t>(v);
@@ -523,13 +607,16 @@ Matching Network::extract_matching_resilient(std::span<const NodeId> dirty,
     // Add each surviving pair once: at the lower endpoint when both are
     // dirty (the higher endpoint's iteration skips), else at the dirty one.
     if (std::binary_search(dirty.begin(), dirty.end(), u) && v > u) continue;
-    if (!m.is_matched(v) && !m.is_matched(u)) m.add(g, e);
+    if (!m.is_matched(v) && !m.is_matched(u)) {
+      m.add(g, e);
+      ++gained;
+    }
   }
   rep.crashed_nodes = std::max(rep.crashed_nodes, dead_now);
-  // No full is_valid() postcondition here: the point of this overload is
+  // No full is_valid() postcondition here: the point of this call is
   // O(|dirty| · deg), and Matching::add/remove already enforce pair
   // consistency on every mutation above.
-  return m;
+  return gained;
 }
 
 void heal_register_image(const Graph& g, std::vector<int>& reg,
@@ -625,6 +712,11 @@ void Network::set_matching(const Matching& m) {
         e == kNoEdge ? -1 : g.port_of_edge(v, e);
   }
   k_.reg.assign_from(reg);
+}
+
+void Network::set_register(NodeId v, EdgeId e) {
+  k_.reg.at(static_cast<std::size_t>(v)) =
+      e == kNoEdge ? -1 : g_->port_of_edge(v, e);
 }
 
 std::size_t Network::restore_registers(std::span<const int> image) {

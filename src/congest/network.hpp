@@ -16,9 +16,13 @@
 // round driver around it (spawn, step, routing over the activity lanes
 // that carry deliveries between shards, rollback, round accounting,
 // close and obs export) for every executor that steps rounds
-// synchronously. A run split over several processes (mp::MpEngine) plugs
-// into it through a RoundBarrier, which names the nodes this process
-// steps and carries everything that crosses to the other processes.
+// synchronously. A run spawns a sorted list of nodes — every node, or a
+// region the caller names, with every other node parked — and keeps its
+// scratch (process slots, shard run state, activity lanes) across runs,
+// so a region run costs what the region holds. A run split over several
+// processes (mp::MpEngine) plugs into it through a RoundBarrier, which
+// names the nodes this process steps and carries everything that
+// crosses to the other processes.
 // Messages travel through port-indexed mailbox slots (one slot per
 // directed edge endpoint), so delivery is always in ascending port order
 // and no mutex sits on the hot path. Per-node hot state (registers, RNGs,
@@ -149,6 +153,7 @@ class Network {
           std::uint32_t congest_factor = 48);
   Network(const Graph& g, Model model, std::uint64_t seed,
           std::uint32_t congest_factor, Options options);
+  ~Network();
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }
   [[nodiscard]] Model model() const noexcept { return k_.model; }
@@ -169,7 +174,8 @@ class Network {
 
   /// Run one protocol until every node halts with no message in flight, or
   /// until `max_rounds` rounds have executed. Returns the stats of this run
-  /// and also accumulates them into total_stats().
+  /// and also accumulates them into total_stats(). Every node is spawned:
+  /// this is the listed run below over the list of all nodes.
   ///
   /// With a `barrier`, the run is one part of a run split over several
   /// processes: only the barrier's part of the nodes is spawned and
@@ -179,6 +185,16 @@ class Network {
   /// count.
   RunStats run(const ProcessFactory& factory, int max_rounds,
                RoundBarrier* barrier = nullptr);
+
+  /// Run one protocol on the listed nodes only (sorted, unique). Every
+  /// other node is parked, exactly as if the factory had returned nullptr
+  /// for it (see ProcessFactory), but the factory is never called for it
+  /// and the run's spawn and cleanup cost is O(|nodes|), not O(n): with
+  /// the run scratch kept across runs, a region re-run on a large
+  /// persistent network costs what its region does. Requires a fault-free
+  /// network (a crash-restart would respawn a parked node).
+  RunStats run(std::span<const NodeId> nodes, const ProcessFactory& factory,
+               int max_rounds);
 
   /// Matching described by the nodes' output registers. Throws if the
   /// registers are inconsistent (one-sided pointers).
@@ -191,19 +207,19 @@ class Network {
   [[nodiscard]] Matching extract_matching_resilient(
       DegradationReport* report = nullptr) const;
 
-  /// Incremental resilient extraction: re-validates ONLY the registers of
-  /// the nodes in `dirty` (sorted, unique) and returns `base` updated with
-  /// what they now say — pairs of base that involve a dirty node are
-  /// dropped and re-derived from the registers, everything else is reused
+  /// Incremental resilient extraction, in place: re-validates ONLY the
+  /// registers of the nodes in `dirty` (sorted, unique) and updates `m`
+  /// with what they now say — pairs of m that involve a dirty node are
+  /// dropped and re-derived from the registers, everything else is left
   /// untouched. O(|dirty| · deg) instead of the full-array O(n + m) scan,
   /// which is what a long-running service wants when one update epoch
   /// touched a small region (see src/dyn). Caller contract: every register
-  /// that changed since `base` was extracted is listed in `dirty` (a
-  /// superset is fine); registers of clean nodes still agree with base.
-  /// Dead/torn tallies in `report` cover the dirty set only.
-  [[nodiscard]] Matching extract_matching_resilient(
-      std::span<const NodeId> dirty, const Matching& base,
-      DegradationReport* report = nullptr) const;
+  /// that changed since `m` was extracted is listed in `dirty` (a
+  /// superset is fine); registers of clean nodes still agree with m.
+  /// Dead/torn tallies in `report` cover the dirty set only. Returns the
+  /// pairs gained: pairs added minus pairs dropped.
+  std::ptrdiff_t refresh_matching(std::span<const NodeId> dirty, Matching& m,
+                                  DegradationReport* report = nullptr) const;
 
   /// In-place self-healing of the output registers: clears exactly the
   /// registers extract_matching_resilient would skip, so that a strict
@@ -213,6 +229,11 @@ class Network {
 
   /// Overwrite the output registers from an explicit matching.
   void set_matching(const Matching& m);
+
+  /// Point v's output register at its incident edge `e` (kNoEdge clears
+  /// it), leaving every other register untouched: the per-node form of
+  /// set_matching, for callers that rewired a few pairs.
+  void set_register(NodeId v, EdgeId e);
 
   /// Raw output-register image (per-node mate ports, -1 = unmatched) in
   /// node order: a flat copy with no validation, the cheap capture side
@@ -270,6 +291,17 @@ class Network {
   // kernel::State::step_node.
   kernel::State k_;
   RunStats total_;
+
+  // What a run builds and releases again, kept across runs so a run pays
+  // only for the nodes it spawns: the per-node process slots (all empty
+  // between runs), the shards' run state and the activity lanes.
+  struct RunScratch;
+  std::unique_ptr<RunScratch> scratch_;
+  std::vector<NodeId> every_node_;  // 0 .. n-1, the all-nodes run's list
+
+  RunStats run_listed(std::span<const NodeId> nodes,
+                      const ProcessFactory& factory, int max_rounds,
+                      RoundBarrier* barrier);
 
   // Always present (a 1-worker scheduler spawns no OS threads); shared
   // by the round loop, the parallel table build, and the extraction

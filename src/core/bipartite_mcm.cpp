@@ -345,7 +345,10 @@ congest::RunStats run_augment_iteration(congest::Network& net,
                                         int ell, const AugmentRegion& region) {
   DMATCH_EXPECTS(side.size() ==
                  static_cast<std::size_t>(net.graph().node_count()));
-  return net.run(augment_iteration_factory(side, ell, region), 3 * ell + 4);
+  const congest::ProcessFactory factory =
+      augment_iteration_factory(side, ell, region);
+  if (!region.nodes.empty()) return net.run(region.nodes, factory, 3 * ell + 4);
+  return net.run(factory, 3 * ell + 4);
 }
 
 namespace {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -89,9 +90,13 @@ congest::ProcessFactory augment_iteration_factory(
 /// participant too) -- frozen boundary pairs must be excluded *as pairs*
 /// before the run. The pointed-to masks must outlive every run that uses
 /// the region. Default-constructed (both nullptr) means "whole graph".
+/// `nodes`, when set, lists the participants (sorted): the run then
+/// spawns only them (Network::run's listed form), so an iteration costs
+/// what the region holds rather than O(n).
 struct AugmentRegion {
   const std::vector<char>* eligible_edges = nullptr;  // by EdgeId, 0/1
   const std::vector<char>* participants = nullptr;    // by NodeId, 0/1
+  std::span<const NodeId> nodes;                      // sorted participants
   [[nodiscard]] bool restricted() const noexcept {
     return eligible_edges != nullptr || participants != nullptr;
   }

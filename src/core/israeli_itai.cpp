@@ -30,7 +30,7 @@ Message make_msg(MsgKind kind) {
 ///   round 2: proposers that were accepted become matched.
 class IiProcess final : public Process {
  public:
-  IiProcess(NodeId id, const Graph& g, const std::vector<char>& eligible_edges)
+  IiProcess(NodeId id, const Graph& g, std::span<const char> eligible_edges)
       : eligible_(static_cast<std::size_t>(g.degree(id)), true) {
     if (!eligible_edges.empty()) {
       const auto ports = g.incident_edges(id);
@@ -122,16 +122,26 @@ class IiProcess final : public Process {
   bool halted_ = false;
 };
 
+std::unique_ptr<congest::Process> make_ii(NodeId v, const Graph& g,
+                                         std::span<const char> eligible) {
+  if (!eligible.empty()) {
+    DMATCH_EXPECTS(eligible.size() == static_cast<std::size_t>(g.edge_count()));
+  }
+  return std::make_unique<IiProcess>(v, g, eligible);
+}
+
 }  // namespace
 
 congest::ProcessFactory israeli_itai_factory(IsraeliItaiOptions options) {
-  return [options = std::move(options)](NodeId v, const Graph& g)
-             -> std::unique_ptr<congest::Process> {
-    if (!options.eligible_edges.empty()) {
-      DMATCH_EXPECTS(options.eligible_edges.size() ==
-                     static_cast<std::size_t>(g.edge_count()));
-    }
-    return std::make_unique<IiProcess>(v, g, options.eligible_edges);
+  return [options = std::move(options)](NodeId v, const Graph& g) {
+    return make_ii(v, g, options.eligible_edges);
+  };
+}
+
+congest::ProcessFactory israeli_itai_factory(
+    std::span<const char> eligible_edges) {
+  return [eligible_edges](NodeId v, const Graph& g) {
+    return make_ii(v, g, eligible_edges);
   };
 }
 

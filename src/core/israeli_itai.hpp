@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "congest/network.hpp"
 #include "congest/resilient.hpp"
@@ -43,6 +44,13 @@ struct IsraeliItaiResult {
 /// Node-program factory for the protocol (used directly by the
 /// asynchronous executor and the tests).
 congest::ProcessFactory israeli_itai_factory(IsraeliItaiOptions options = {});
+
+/// The same factory over an eligibility mask the caller owns (by edge
+/// id, empty = all edges) and keeps alive while the factory is in use:
+/// a service that re-runs the protocol on small regions of one large
+/// graph reuses one mask instead of building an m-sized copy per run.
+congest::ProcessFactory israeli_itai_factory(
+    std::span<const char> eligible_edges);
 
 /// Run Israeli-Itai on net's graph. The network's matching registers are
 /// overwritten with the result (pre-existing registers are cleared for

@@ -33,21 +33,32 @@ std::uint8_t color_draw(std::uint64_t seed, std::uint64_t epoch,
 AugmentReport augment_region(congest::Network& net, const DynGraph& g,
                              std::span<const NodeId> active,
                              Matching& matching,
-                             const AugmentOptions& options) {
+                             const AugmentOptions& options,
+                             AugmentScratch& scratch) {
   DMATCH_EXPECTS(options.quality_k >= 2);
   AugmentReport report;
   const Graph& u = g.universe();
   const auto n = static_cast<std::size_t>(u.node_count());
+  const auto m = static_cast<std::size_t>(u.edge_count());
+  if (scratch.side.size() < n) {
+    scratch.side.resize(n, 0);
+    scratch.participants.resize(n, 0);
+  }
+  if (scratch.eligible.size() < m) scratch.eligible.resize(m, 0);
+  std::vector<std::uint8_t>& side = scratch.side;
+  std::vector<char>& participants = scratch.participants;
+  std::vector<char>& eligible = scratch.eligible;
+  support::StampSet& in_cand = scratch.in_cand;
 
   // Live members of the active set. Dead region nodes are opaque — no
   // alive edge reaches them, so they can neither root nor carry a path.
+  in_cand.grow(n);
+  in_cand.clear();
   std::vector<NodeId> cands;
-  cands.reserve(active.size());
-  std::vector<char> in_cand(n, 0);
   for (const NodeId v : active) {
     if (!g.vertex_live(v)) continue;
     cands.push_back(v);
-    in_cand[static_cast<std::size_t>(v)] = 1;
+    in_cand.insert(static_cast<std::size_t>(v));
   }
   if (cands.empty()) {
     report.oracle_clean = true;
@@ -56,49 +67,36 @@ AugmentReport augment_region(congest::Network& net, const DynGraph& g,
 
   const int k = options.quality_k;
 
-  // Materialize the region subgraph once — the topology is fixed for the
-  // whole call; only the matching restricted to it changes. The exact
-  // oracle below re-derives m_sub per check (cheap: O(n) + region edges)
-  // and gates every iteration, so a region with no augmenting path of
-  // length <= 2k-1 — the common case after an Israeli–Itai repair —
-  // costs exactly one enumerator run and zero network activity. Frozen
-  // pairs are excluded wholesale: their matched edge exits the region,
-  // so no in-region path can use them as an interior; the paths they
-  // *end* are boundary-crossing and belong to the caller's host-side
-  // leftover sweep.
-  std::vector<char> keep(static_cast<std::size_t>(u.edge_count()), 0);
-  for (const NodeId v : cands) {
-    for (const EdgeId e : u.incident_edges(v)) {
-      if (!g.edge_alive(e)) continue;
-      const NodeId w = u.other_endpoint(e, v);
-      if (in_cand[static_cast<std::size_t>(w)] == 0) continue;
-      keep[static_cast<std::size_t>(e)] = 1;
-    }
-  }
-  const Graph::Subgraph sub = u.edge_subgraph(keep);
+  // The region's topology is fixed for the whole call: the alive edges
+  // with both ends in the region. The exact oracle below enumerates it
+  // from the region's own nodes and gates every iteration, so a region
+  // with no augmenting path of length <= 2k-1 — the common case after
+  // an Israeli–Itai repair — costs exactly one enumerator run and zero
+  // network activity. Frozen pairs are excluded wholesale: their matched
+  // edge exits the region, so no in-region path can use them as an
+  // interior; the paths they *end* are boundary-crossing and belong to
+  // the caller's host-side leftover sweep.
+  const EdgeFilter in_region = [&g, &u, &in_cand](EdgeId e) {
+    if (!g.edge_alive(e)) return false;
+    const Edge& ed = u.edge(e);
+    return in_cand.contains(static_cast<std::size_t>(ed.u)) &&
+           in_cand.contains(static_cast<std::size_t>(ed.v));
+  };
   // A node-disjoint batch of leftover augmenting paths (length <= 2k-1)
   // in the region; empty iff the region is dry. Batching lets one phase
   // run clear several paths at once — the runs' fixed cost, not the
   // per-path work, dominates at region scale.
   const auto leftover = [&]() {
-    Matching m_sub(sub.graph.node_count());
-    for (EdgeId i = 0; i < sub.graph.edge_count(); ++i) {
-      const Edge& ed = sub.graph.edge(i);
-      if (matching.matched_edge(ed.u) ==
-          sub.original_edge[static_cast<std::size_t>(i)]) {
-        m_sub.add(sub.graph, i);
-      }
-    }
     return greedy_disjoint_paths(
-        sub.graph, enumerate_augmenting_paths(sub.graph, m_sub, 2 * k - 1, 8));
+        u, enumerate_augmenting_paths(u, matching, 2 * k - 1, cands, 8,
+                                      in_region));
   };
 
   const int budget = options.max_iterations > 0
                          ? options.max_iterations
                          : general_mcm_paper_budget(k);
-  std::vector<std::uint8_t> side(n, 0);
-  std::vector<char> participants(n, 0);
-  std::vector<char> eligible(static_cast<std::size_t>(u.edge_count()), 0);
+  std::vector<NodeId> members;       // one iteration's participants, sorted
+  std::vector<EdgeId> eligible_set;  // its eligible edges, to clear again
 
   for (;;) {
     const std::vector<std::vector<EdgeId>> guides = leftover();
@@ -134,36 +132,35 @@ AugmentReport augment_region(congest::Network& net, const DynGraph& g,
     for (const std::vector<EdgeId>& guide : guides) {
       ell = std::max(ell, static_cast<int>(guide.size()));
       // Recover the node walk from the guide path's edge sequence.
-      const Graph& sg = sub.graph;
-      const Edge& e0 = sg.edge(guide.front());
+      const Edge& e0 = u.edge(guide.front());
       NodeId cur = e0.u;
       if (guide.size() > 1) {
-        const Edge& e1 = sg.edge(guide[1]);
+        const Edge& e1 = u.edge(guide[1]);
         cur = (e0.u == e1.u || e0.u == e1.v) ? e0.v : e0.u;
       }
       side[static_cast<std::size_t>(cur)] = 0;
       std::uint8_t color = 0;
       for (const EdgeId e : guide) {
-        cur = sg.other_endpoint(e, cur);
+        cur = u.other_endpoint(e, cur);
         color ^= 1;
         side[static_cast<std::size_t>(cur)] = color;
       }
     }
-    std::fill(participants.begin(), participants.end(), 0);
+    members.clear();
     for (const NodeId v : cands) {
       const NodeId w = matching.mate(v);
       // Active matched pairs are mate-closed (dyn/invalidate splits
       // frozen pairs out; repair and augment only rewire active-active).
-      DMATCH_ASSERT(w == kNoNode || in_cand[static_cast<std::size_t>(w)] != 0);
+      DMATCH_ASSERT(w == kNoNode ||
+                    in_cand.contains(static_cast<std::size_t>(w)));
       if (w == kNoNode || side[static_cast<std::size_t>(v)] !=
                               side[static_cast<std::size_t>(w)]) {
         participants[static_cast<std::size_t>(v)] = 1;
+        members.push_back(v);
       }
     }
-    std::fill(eligible.begin(), eligible.end(), 0);
-    bool any = false;
-    for (const NodeId v : cands) {
-      if (participants[static_cast<std::size_t>(v)] == 0) continue;
+    eligible_set.clear();
+    for (const NodeId v : members) {
       for (const EdgeId e : u.incident_edges(v)) {
         if (!g.edge_alive(e)) continue;
         const NodeId w = u.other_endpoint(e, v);
@@ -172,32 +169,36 @@ AugmentReport augment_region(congest::Network& net, const DynGraph& g,
             side[static_cast<std::size_t>(v)]) {
           continue;
         }
-        eligible[static_cast<std::size_t>(e)] = 1;
-        any = true;
+        char& mark = eligible[static_cast<std::size_t>(e)];
+        if (mark == 0) eligible_set.push_back(e);
+        mark = 1;
       }
     }
-    DMATCH_ASSERT(any);  // the guide paths' edges are eligible
+    DMATCH_ASSERT(!eligible_set.empty());  // the guide paths' edges
 
     // Stage 2: one augment iteration (counting BFS + lottery + trace-
-    // back) at the longest guide's length, everyone outside G^ parked;
-    // then fold the registers back through the incremental extract. The
-    // driver's exact oracle above subsumes run_phase's per-iteration
-    // masked oracle, so a bare iteration avoids two extra O(n + m)
-    // passes per loop; paths the lottery leaves exposed simply get the
-    // next iteration (with a fresh guide batch).
+    // back) at the longest guide's length, spawned on the participants
+    // only; then fold the registers back through the incremental
+    // extract. The driver's exact oracle above subsumes run_phase's
+    // per-iteration masked oracle, so a bare iteration avoids two extra
+    // O(n + m) passes per loop; paths the lottery leaves exposed simply
+    // get the next iteration (with a fresh guide batch).
     AugmentRegion region;
     region.eligible_edges = &eligible;
     region.participants = &participants;
+    region.nodes = members;
     report.stats.merge(run_augment_iteration(net, side, ell, region));
     ++report.phase_iterations;
-    Matching folded = net.extract_matching_resilient(active, matching);
-    const std::ptrdiff_t gained_this =
-        static_cast<std::ptrdiff_t>(folded.size()) -
-        static_cast<std::ptrdiff_t>(matching.size());
+    for (const NodeId v : members) {
+      participants[static_cast<std::size_t>(v)] = 0;
+    }
+    for (const EdgeId e : eligible_set) {
+      eligible[static_cast<std::size_t>(e)] = 0;
+    }
+    const std::ptrdiff_t gained_this = net.refresh_matching(active, matching);
     // The guided iteration cannot stall: the guide paths are in G^ and
     // the region's globally largest lottery token cannot be killed.
     DMATCH_ENSURES(gained_this >= 1);
-    matching = std::move(folded);
     report.gained += gained_this;
   }
   return report;

@@ -27,24 +27,30 @@
 //  * after the phases the registers fold back through the incremental
 //    extract (extract_matching_resilient over the active set), exactly
 //    like the repair pass itself;
-//  * termination is oracle-first and deterministic: the region subgraph
-//    is materialized once per call, and the exact path enumerator gates
-//    every driver iteration — no color sample is ever drawn unless an
-//    augmenting path of length <= 2k-1 provably survives inside the
+//  * termination is oracle-first and deterministic: the exact path
+//    enumerator (graph/augmenting's PathEnumerator, started from the
+//    region's live nodes and filtered to alive edges inside the region)
+//    gates every driver iteration — no color sample is ever drawn unless
+//    an augmenting path of length <= 2k-1 provably survives inside the
 //    region, and the loop stops the moment the region runs dry
 //    (oracle_clean). Frozen boundary pairs sit outside the active set;
 //    their matched edge exits the region, so they can pin path
 //    *endpoints* but never appear as interiors — paths they block are
 //    exactly the boundary-crossing ones the caller's host-side leftover
-//    sweep closes (dyn/repair.hpp).
+//    sweep closes (dyn/repair.hpp);
+//  * every per-node and per-edge mask lives in an AugmentScratch the
+//    caller keeps across calls, touched only at the region's entries, so
+//    a call costs what its region holds, never O(n + m).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "dyn/dyn_graph.hpp"
 #include "graph/matching.hpp"
+#include "support/stamp_set.hpp"
 
 namespace dmatch::dyn {
 
@@ -71,6 +77,17 @@ struct AugmentReport {
   congest::RunStats stats;
 };
 
+/// augment_region's per-node and per-edge masks, kept by the caller
+/// across calls. Between calls the masks are all zero; a call sets only
+/// its region's entries and clears them again, and grows them with the
+/// graph.
+struct AugmentScratch {
+  std::vector<std::uint8_t> side;  // by node; read at participants only
+  std::vector<char> participants;  // by node
+  std::vector<char> eligible;      // by edge
+  support::StampSet in_cand;       // live members of the active set
+};
+
 /// Run the region-restricted augment loop on `net` (the repair engine's
 /// persistent universe network, registers holding `matching`). `active`
 /// is the sorted re-match set from dyn/invalidate (dead members are
@@ -79,6 +96,7 @@ struct AugmentReport {
 AugmentReport augment_region(congest::Network& net, const DynGraph& g,
                              std::span<const NodeId> active,
                              Matching& matching,
-                             const AugmentOptions& options);
+                             const AugmentOptions& options,
+                             AugmentScratch& scratch);
 
 }  // namespace dmatch::dyn

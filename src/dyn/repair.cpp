@@ -7,7 +7,6 @@
 
 #include "core/israeli_itai.hpp"
 #include "dyn/augment.hpp"
-#include "graph/augmenting.hpp"
 
 namespace dmatch::dyn {
 
@@ -45,8 +44,9 @@ RepairEngine::RepairEngine(Graph initial, RepairOptions opts)
   const auto t0 = std::chrono::steady_clock::now();
   run_full(bootstrap_);
   if (opts_.quality_k >= 2) {
-    run_augment(collect_live(g_), 0, bootstrap_);
-    bootstrap_.augment_gained += host_augment_leftovers();
+    const std::vector<NodeId> live = collect_live(g_);
+    run_augment(live, 0, bootstrap_);
+    bootstrap_.augment_gained += sweep_leftovers(live);
   }
   bootstrap_.repair_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -63,7 +63,13 @@ void RepairEngine::rebuild_network() {
   net_ = std::make_unique<congest::Network>(
       g_.universe(), congest::Model::kCongest,
       fork_seed(opts_.seed, g_.generation()), 48, no);
-  net_->set_matching(matching_);
+  // A fresh Network's registers are all clear; point the matched ones at
+  // their pairs (edge ids survive rebuilds, so the matching carries over).
+  for (NodeId v = 0; v < g_.node_count(); ++v) {
+    const EdgeId e = matching_.matched_edge(v);
+    if (e != kNoEdge) net_->set_register(v, e);
+  }
+  eligible_.resize(static_cast<std::size_t>(g_.universe().edge_count()), 0);
 }
 
 void RepairEngine::run_full(EpochReport& report) {
@@ -71,14 +77,12 @@ void RepairEngine::run_full(EpochReport& report) {
   const auto m = static_cast<std::size_t>(g_.universe().edge_count());
   std::vector<int> image(n, -1);
   net_->restore_registers(image);
-  IsraeliItaiOptions io;
-  io.max_rounds = opts_.round_budget;
-  io.eligible_edges.assign(m, 0);
   for (std::size_t e = 0; e < m; ++e) {
-    io.eligible_edges[e] = g_.edge_alive(static_cast<EdgeId>(e)) ? 1 : 0;
+    eligible_[e] = g_.edge_alive(static_cast<EdgeId>(e)) ? 1 : 0;
   }
-  report.stats = net_->run(israeli_itai_factory(std::move(io)),
+  report.stats = net_->run(israeli_itai_factory(eligible_),
                            opts_.round_budget);
+  std::fill(eligible_.begin(), eligible_.end(), 0);
   DMATCH_ENSURES(report.stats.completed);
   matching_ = net_->extract_matching();
   for (std::size_t v = 0; v < n; ++v) {
@@ -89,59 +93,50 @@ void RepairEngine::run_full(EpochReport& report) {
 
 bool RepairEngine::run_incremental(const DirtyRegion& region,
                                    EpochReport& report) {
-  const auto n = static_cast<std::size_t>(g_.node_count());
   const Graph& u = g_.universe();
 
-  // Clear exactly the active registers (delta-restore touches only them).
-  std::vector<int> image;
-  net_->copy_registers(image);
-  for (const NodeId v : region.active) {
-    image[static_cast<std::size_t>(v)] = -1;
-  }
-  net_->restore_registers(image);
+  // Clear exactly the active registers; every other register keeps its
+  // pair.
+  for (const NodeId v : region.active) net_->set_register(v, kNoEdge);
 
   // Eligibility: alive edges with BOTH endpoints active. Active nodes
   // therefore never propose outside the region; frozen and outside
   // registers stay untouched and their pairs are reused verbatim.
-  std::vector<char> in_active(n, 0);
+  in_active_.grow(static_cast<std::size_t>(g_.node_count()));
+  in_active_.clear();
   for (const NodeId v : region.active) {
-    in_active[static_cast<std::size_t>(v)] = 1;
+    in_active_.insert(static_cast<std::size_t>(v));
   }
-  IsraeliItaiOptions io;
-  io.max_rounds = opts_.round_budget;
-  io.eligible_edges.assign(static_cast<std::size_t>(u.edge_count()), 0);
+  std::vector<EdgeId> eligible_set;  // the entries to clear again
   for (const NodeId v : region.active) {
     if (!g_.vertex_live(v)) continue;
     for (const EdgeId e : u.incident_edges(v)) {
       if (!g_.edge_alive(e)) continue;
       const NodeId w = u.other_endpoint(e, v);
-      if (in_active[static_cast<std::size_t>(w)] != 0) {
-        io.eligible_edges[static_cast<std::size_t>(e)] = 1;
+      char& mark = eligible_[static_cast<std::size_t>(e)];
+      if (mark == 0 && in_active_.contains(static_cast<std::size_t>(w))) {
+        mark = 1;
+        eligible_set.push_back(e);
       }
     }
   }
-  const congest::ProcessFactory inner =
-      israeli_itai_factory(std::move(io));
-  const congest::ProcessFactory factory =
-      [&inner, &in_active](NodeId v, const Graph& gg)
-      -> std::unique_ptr<congest::Process> {
-    if (in_active[static_cast<std::size_t>(v)] != 0) return inner(v, gg);
-    // Parked (see congest::ProcessFactory): never scheduled, zero
-    // allocation; a stray kMatched announcement from a newly matched
-    // boundary neighbor is discarded by the engine.
-    return nullptr;
-  };
-  report.stats = net_->run(factory, opts_.round_budget);
+  // Only the active nodes are spawned; every other node is parked (see
+  // congest::ProcessFactory): never scheduled, zero allocation, and a
+  // stray kMatched announcement from a newly matched boundary neighbor
+  // is discarded by the engine.
+  report.stats = net_->run(region.active, israeli_itai_factory(eligible_),
+                           opts_.round_budget);
+  for (const EdgeId e : eligible_set) {
+    eligible_[static_cast<std::size_t>(e)] = 0;
+  }
   if (!report.stats.completed) return false;  // caller falls back to full
 
-  matching_ = net_->extract_matching_resilient(region.active, matching_);
+  net_->refresh_matching(region.active, matching_);
   // The run only rewires active–active pairs (eligibility) and only
   // drops pairs whose endpoints are both active (a matched region node
   // with an outside mate is frozen by construction), so the mate mirror
   // changes on active nodes alone.
-  for (const NodeId v : region.active) {
-    mate_[static_cast<std::size_t>(v)] = matching_.mate(v);
-  }
+  note_mates(region.active);
   return true;
 }
 
@@ -154,50 +149,51 @@ void RepairEngine::run_augment(std::span<const NodeId> active,
   // lottery and the repair protocol must not share randomness).
   ao.seed = fork_seed(opts_.seed ^ 0xd6e8feb86659fd93ULL, g_.generation());
   ao.epoch_index = epoch_index;
-  const AugmentReport ar = augment_region(*net_, g_, active, matching_, ao);
+  const AugmentReport ar =
+      augment_region(*net_, g_, active, matching_, ao, augment_scratch_);
   report.augment_iterations += ar.iterations;
   report.augment_phase_iterations += ar.phase_iterations;
   report.augment_gained += ar.gained;
   report.stats.merge(ar.stats);
-  // Augmenting can rewire any active pair; refresh the whole mirror
-  // (O(n), cheap next to the runs themselves).
-  for (std::size_t v = 0; v < mate_.size(); ++v) {
-    mate_[v] = matching_.mate(static_cast<NodeId>(v));
+  // Augmenting rewires active pairs only.
+  note_mates(active);
+}
+
+void RepairEngine::note_mates(std::span<const NodeId> nodes) {
+  for (const NodeId v : nodes) {
+    NodeId& mirror = mate_[static_cast<std::size_t>(v)];
+    const NodeId now = matching_.mate(v);
+    if (mirror == now) continue;
+    mirror = now;
+    changed_.push_back(v);
   }
 }
 
-int RepairEngine::host_augment_leftovers() {
-  const int k = opts_.quality_k;
-  std::vector<EdgeId> uedge;
-  const Graph snap = g_.snapshot(&uedge);
-  Matching sm(snap.node_count());
-  for (EdgeId i = 0; i < snap.edge_count(); ++i) {
-    const Edge& ed = snap.edge(i);
-    if (matching_.matched_edge(ed.u) == uedge[static_cast<std::size_t>(i)]) {
-      sm.add(snap, i);
-    }
-  }
+int RepairEngine::sweep_leftovers(std::span<const NodeId> seeds) {
+  const Graph& u = g_.universe();
+  sweep_.begin(u, matching_, 2 * opts_.quality_k - 1,
+               [this](EdgeId e) { return g_.edge_alive(e); });
+  sweep_.seed(seeds);
   // Flip paths until none of length <= 2k-1 remains (Lemma 3.2 then
   // gives ratio >= k/(k+1) >= 1 - 1/k). Each flip grows |M|, so the loop
-  // terminates; the enumerator is deterministic, so the trajectory is.
+  // terminates; the search is deterministic, so the trajectory is. A
+  // flip can only create paths through its own nodes, so they are the
+  // next seeds.
   int applied = 0;
-  for (;;) {
-    const auto paths = enumerate_augmenting_paths(snap, sm, 2 * k - 1, 1);
-    if (paths.empty()) break;
-    sm.augment(snap, paths.front());
-    ++applied;
-  }
-  if (applied == 0) return 0;
-  Matching lifted(g_.node_count());
-  for (EdgeId i = 0; i < snap.edge_count(); ++i) {
-    if (sm.contains(snap, i)) {
-      lifted.add(g_.universe(), uedge[static_cast<std::size_t>(i)]);
+  while (const std::optional<std::vector<EdgeId>> path = sweep_.next()) {
+    matching_.augment(u, *path);
+    std::vector<NodeId> nodes;
+    for (const EdgeId e : *path) {
+      const Edge& ed = u.edge(e);
+      nodes.push_back(ed.u);
+      nodes.push_back(ed.v);
     }
-  }
-  matching_ = std::move(lifted);
-  net_->set_matching(matching_);
-  for (std::size_t v = 0; v < mate_.size(); ++v) {
-    mate_[v] = matching_.mate(static_cast<NodeId>(v));
+    for (const NodeId x : nodes) {
+      net_->set_register(x, matching_.matched_edge(x));
+      mate_[static_cast<std::size_t>(x)] = matching_.mate(x);
+    }
+    sweep_.seed(nodes);
+    ++applied;
   }
   return applied;
 }
@@ -222,6 +218,15 @@ EpochReport RepairEngine::apply_epoch(const Epoch& epoch,
   EpochReport report;
   report.epoch = epoch;
   report.ops = ops.size();
+  auto lap_start = t0;
+  const auto lap = [&report, &lap_start](EpochPhase phase) {
+    const auto now = std::chrono::steady_clock::now();
+    report.phase_ns[phase] +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap_start)
+            .count();
+    lap_start = now;
+  };
+  changed_.clear();
 
   // 1. Ops -> masks + mate bookkeeping + invalidation seeds. The seeds
   // must see the mates AT APPLICATION TIME (a later op may clear them).
@@ -272,6 +277,7 @@ EpochReport RepairEngine::apply_epoch(const Epoch& epoch,
     }
     rebuild_network();  // re-seeds registers from matching_
   }
+  lap(kPhaseOps);
 
   // 3. Seeds -> dirty region. The Israeli–Itai repair re-matches only
   // the dirty_hops core; with the augment stage on, the *arena* — the
@@ -282,6 +288,10 @@ EpochReport RepairEngine::apply_epoch(const Epoch& epoch,
   // arena after the repair, so the frozen split sees the repaired mates.
   const bool quality = opts_.quality_k >= 2;
   const bool had_seeds = !tracker_.empty();
+  if (quality) {
+    // The op seeds open the sweep's change log.
+    changed_.assign(tracker_.seeds().begin(), tracker_.seeds().end());
+  }
   DirtyRegion region;
   if (had_seeds) {
     region = tracker_.expand(g_, mate_, opts_.dirty_hops, !quality);
@@ -289,6 +299,7 @@ EpochReport RepairEngine::apply_epoch(const Epoch& epoch,
   report.dirty_nodes = region.nodes.size();
   report.active_nodes = region.active.size();
   report.frozen_nodes = region.frozen.size();
+  lap(kPhaseExpand);
 
   // 4. Repair, then (quality_k >= 2) the beyond-maximal augment stage.
   if (!region.active.empty()) {
@@ -301,36 +312,46 @@ EpochReport RepairEngine::apply_epoch(const Epoch& epoch,
       run_full(report);
     }
   }
+  lap(kPhaseRepair);
   if (quality && had_seeds) {
     const std::uint64_t color_epoch = epoch.index + 1;
+    std::vector<NodeId> live;
     if (report.full_recompute) {
       tracker_.reset();  // a full recompute supersedes the seeds
-      run_augment(collect_live(g_), color_epoch, report);
+      live = collect_live(g_);
+      run_augment(live, color_epoch, report);
     } else {
       const int wide = std::max(opts_.dirty_hops, 2 * opts_.quality_k - 1);
       const DirtyRegion arena = tracker_.expand(g_, mate_, wide);
+      lap(kPhaseExpand);
       if (!arena.active.empty()) {
         run_augment(arena.active, color_epoch, report);
       }
     }
+    lap(kPhaseAugment);
     // Region augmenting cannot see paths that cross the frozen
     // boundary (frozen pairs pin endpoints, never interiors); the
     // whole-graph loop can in principle exhaust its paper budget. The
     // host-side sweep closes both gaps deterministically — in the
-    // common case it is a single dry enumerator run.
-    const int flips = host_augment_leftovers();
+    // common case it is one dry search of the changed nodes' balls.
+    // After a full recompute every node may have changed.
+    const int flips = sweep_leftovers(
+        report.full_recompute ? std::span<const NodeId>(live)
+                              : std::span<const NodeId>(changed_));
     if (flips > 0) {
       report.augment_escalated = true;
       report.augment_gained += flips;
     }
+    lap(kPhaseSweep);
   }
 
   // 5. Totals + telemetry; certification is diagnostics and sits outside
   // the measured repair latency.
   refresh_totals(report);
-  report.repair_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto t1 = std::chrono::steady_clock::now();
+  report.repair_seconds = std::chrono::duration<double>(t1 - t0).count();
+  report.phase_ns[kPhaseTotal] =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
 
   DMATCH_OBS({
     obs::Observer* const ob = opts_.observer;

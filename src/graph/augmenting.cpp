@@ -1,99 +1,165 @@
 #include "graph/augmenting.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <queue>
+#include <utility>
 
 namespace dmatch {
 
-namespace {
+PathEnumerator::PathEnumerator(const Graph& g, const Matching& m,
+                               int max_len, EdgeFilter keep)
+    : g_(g), m_(m), max_len_(max_len), keep_(std::move(keep)) {
+  DMATCH_EXPECTS(max_len >= 1);
+}
 
-/// Depth-first enumeration of simple alternating paths starting at the free
-/// node `start`. The next edge must be non-matching when the path length so
-/// far is even, matching when odd.
-class PathEnumerator {
- public:
-  PathEnumerator(const Graph& g, const Matching& m, int max_len,
-                 std::size_t max_count,
-                 std::vector<std::vector<EdgeId>>& out)
-      : g_(g),
-        m_(m),
-        max_len_(max_len),
-        max_count_(max_count),
-        out_(out),
-        on_path_(static_cast<std::size_t>(g.node_count()), false) {}
+void PathEnumerator::run(NodeId start, std::vector<std::vector<EdgeId>>& out,
+                         std::size_t max_count) {
+  out_ = &out;
+  max_count_ = max_count;
+  if (full() || !m_.is_free(start)) return;
+  walk_.assign(1, start);
+  extend(start);
+}
 
-  void run(NodeId start) {
-    start_ = start;
-    on_path_[static_cast<std::size_t>(start)] = true;
-    extend(start);
-    on_path_[static_cast<std::size_t>(start)] = false;
+// The next edge must be non-matching when the path length so far is
+// even, matching when odd.
+void PathEnumerator::extend(NodeId v) {
+  if (full()) return;
+  const bool need_matching = (path_.size() % 2) == 1;
+  if (need_matching) {
+    // Exactly one way to continue: v's matched edge. A free v ends the
+    // walk (it was already reported as an augmenting path endpoint).
+    const EdgeId e = m_.matched_edge(v);
+    if (e != kNoEdge && kept(e)) try_edge(v, e);
+    return;
   }
-
-  [[nodiscard]] bool full() const {
-    return max_count_ != 0 && out_.size() >= max_count_;
-  }
-
- private:
-  void extend(NodeId v) {
+  for (EdgeId e : g_.incident_edges(v)) {
+    if (m_.contains(g_, e) || !kept(e)) continue;
+    try_edge(v, e);
     if (full()) return;
-    const bool need_matching = (path_.size() % 2) == 1;
-    if (need_matching) {
-      // Exactly one way to continue: v's matched edge. A free v ends the
-      // walk (it was already reported as an augmenting path endpoint).
-      const EdgeId e = m_.matched_edge(v);
-      if (e != kNoEdge) try_edge(v, e);
-      return;
-    }
-    for (EdgeId e : g_.incident_edges(v)) {
-      if (m_.contains(g_, e)) continue;
-      try_edge(v, e);
-      if (full()) return;
-    }
   }
+}
 
-  void try_edge(NodeId v, EdgeId e) {
-    const NodeId u = g_.other_endpoint(e, v);
-    if (on_path_[static_cast<std::size_t>(u)]) return;
-    path_.push_back(e);
-    const bool odd_length = (path_.size() % 2) == 1;
-    if (odd_length && m_.is_free(u)) {
-      // Report each path once, from its smaller-id endpoint; a length-1
-      // path has equal claim from both ends, so require start < u there
-      // too (start != u since the edge is not a loop).
-      if (start_ < u) out_.push_back(path_);
-    }
-    if (static_cast<int>(path_.size()) < max_len_) {
-      on_path_[static_cast<std::size_t>(u)] = true;
-      extend(u);
-      on_path_[static_cast<std::size_t>(u)] = false;
-    }
-    path_.pop_back();
+void PathEnumerator::try_edge(NodeId v, EdgeId e) {
+  const NodeId u = g_.other_endpoint(e, v);
+  if (std::find(walk_.begin(), walk_.end(), u) != walk_.end()) return;
+  path_.push_back(e);
+  const bool odd_length = (path_.size() % 2) == 1;
+  if (odd_length && m_.is_free(u)) {
+    // Report each path once, from its smaller-id endpoint; a length-1
+    // path has equal claim from both ends, so require start < u there
+    // too (start != u since the edge is not a loop).
+    if (walk_.front() < u) out_->push_back(path_);
   }
-
-  const Graph& g_;
-  const Matching& m_;
-  const int max_len_;
-  const std::size_t max_count_;
-  std::vector<std::vector<EdgeId>>& out_;
-  std::vector<char> on_path_;
-  std::vector<EdgeId> path_;
-  NodeId start_ = kNoNode;
-};
-
-}  // namespace
+  if (static_cast<int>(path_.size()) < max_len_) {
+    walk_.push_back(u);
+    extend(u);
+    walk_.pop_back();
+  }
+  path_.pop_back();
+}
 
 std::vector<std::vector<EdgeId>> enumerate_augmenting_paths(
     const Graph& g, const Matching& m, int max_len, std::size_t max_count) {
-  DMATCH_EXPECTS(max_len >= 1);
+  std::vector<NodeId> every(static_cast<std::size_t>(g.node_count()));
+  std::iota(every.begin(), every.end(), NodeId{0});
+  return enumerate_augmenting_paths(g, m, max_len, every, max_count);
+}
+
+std::vector<std::vector<EdgeId>> enumerate_augmenting_paths(
+    const Graph& g, const Matching& m, int max_len,
+    std::span<const NodeId> starts, std::size_t max_count,
+    const EdgeFilter& keep) {
   std::vector<std::vector<EdgeId>> out;
-  PathEnumerator enumerator(g, m, max_len, max_count, out);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (!m.is_free(v)) continue;
-    enumerator.run(v);
-    if (enumerator.full()) break;
+  PathEnumerator enumerator(g, m, max_len, keep);
+  for (const NodeId v : starts) {
+    enumerator.run(v, out, max_count);
+    if (max_count != 0 && out.size() >= max_count) break;
   }
   return out;
+}
+
+void SeededPathSearch::begin(const Graph& g, const Matching& m, int max_len,
+                             EdgeFilter keep) {
+  DMATCH_EXPECTS(max_len >= 1);
+  DMATCH_EXPECTS(m.node_count() == g.node_count());
+  g_ = &g;
+  m_ = &m;
+  max_len_ = max_len;
+  keep_ = std::move(keep);
+  const auto n = static_cast<std::size_t>(g.node_count());
+  queued_.grow(n);
+  to_matched_.grow(n);
+  to_free_edge_.grow(n);
+  queued_.clear();
+  heap_.clear();
+}
+
+void SeededPathSearch::seed(std::span<const NodeId> nodes) {
+  const Graph& g = *g_;
+  const Matching& m = *m_;
+  const auto n = static_cast<std::size_t>(g.node_count());
+  to_matched_.clear();
+  to_free_edge_.clear();
+  next_frontier_.clear();
+  const auto queue = [&](NodeId v) {
+    if (m.is_free(v) && queued_.insert(static_cast<std::size_t>(v))) {
+      heap_.push_back(v);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+  };
+  // State (v, true): the walk leaves v along its matched edge; (v,
+  // false): along a non-matching edge. A seed starts in both; a walk
+  // that arrives along a non-matching edge continues along the matched
+  // edge, and ends there if the node is free — a path endpoint.
+  const auto reach = [&](NodeId v, bool matched_next) {
+    support::StampSet& seen = matched_next ? to_matched_ : to_free_edge_;
+    if (seen.insert(static_cast<std::size_t>(v))) {
+      next_frontier_.emplace_back(v, matched_next);
+    }
+  };
+  for (const NodeId v : nodes) {
+    if (v < 0 || static_cast<std::size_t>(v) >= n) continue;
+    queue(v);
+    reach(v, true);
+    reach(v, false);
+  }
+  for (int level = 0; level < max_len_ && !next_frontier_.empty(); ++level) {
+    std::swap(frontier_, next_frontier_);
+    next_frontier_.clear();
+    for (const auto& [v, matched_next] : frontier_) {
+      if (matched_next) {
+        const EdgeId e = m.matched_edge(v);
+        if (e != kNoEdge && (!keep_ || keep_(e))) {
+          reach(g.other_endpoint(e, v), false);
+        }
+        continue;
+      }
+      for (const EdgeId e : g.incident_edges(v)) {
+        if (m.contains(g, e) || (keep_ && !keep_(e))) continue;
+        const NodeId w = g.other_endpoint(e, v);
+        queue(w);
+        reach(w, true);
+      }
+    }
+  }
+}
+
+std::optional<std::vector<EdgeId>> SeededPathSearch::next() {
+  PathEnumerator enumerator(*g_, *m_, max_len_, keep_);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const NodeId v = heap_.back();
+    heap_.pop_back();
+    queued_.erase(static_cast<std::size_t>(v));
+    found_.clear();
+    enumerator.run(v, found_, 1);
+    if (!found_.empty()) return std::move(found_.front());
+  }
+  return std::nullopt;
 }
 
 std::optional<int> shortest_augmenting_path_length(const Graph& g,
@@ -343,14 +409,18 @@ std::vector<Augmentation> enumerate_alternating_augmentations(
 
 std::vector<std::vector<EdgeId>> greedy_disjoint_paths(
     const Graph& g, const std::vector<std::vector<EdgeId>>& paths) {
-  std::vector<char> used(static_cast<std::size_t>(g.node_count()), false);
+  // The chosen paths' nodes, kept sorted: a batch holds a few short
+  // paths, so this costs what the paths hold, not O(n).
+  std::vector<NodeId> used;
   std::vector<std::vector<EdgeId>> chosen;
+  const auto is_used = [&used](NodeId v) {
+    return std::binary_search(used.begin(), used.end(), v);
+  };
   for (const auto& p : paths) {
     bool ok = true;
     for (EdgeId e : p) {
       const Edge& ed = g.edge(e);
-      if (used[static_cast<std::size_t>(ed.u)] ||
-          used[static_cast<std::size_t>(ed.v)]) {
+      if (is_used(ed.u) || is_used(ed.v)) {
         ok = false;
         break;
       }
@@ -358,8 +428,10 @@ std::vector<std::vector<EdgeId>> greedy_disjoint_paths(
     if (!ok) continue;
     for (EdgeId e : p) {
       const Edge& ed = g.edge(e);
-      used[static_cast<std::size_t>(ed.u)] = true;
-      used[static_cast<std::size_t>(ed.v)] = true;
+      for (const NodeId x : {ed.u, ed.v}) {
+        const auto at = std::lower_bound(used.begin(), used.end(), x);
+        if (at == used.end() || *at != x) used.insert(at, x);
+      }
     }
     chosen.push_back(p);
   }

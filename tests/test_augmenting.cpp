@@ -144,5 +144,132 @@ TEST(Augmenting, GreedyDisjointPathsAreDisjointAndMaximal) {
   }
 }
 
+// Flip after flip from an empty matching: the whole-graph loop
+// `enumerate_augmenting_paths(g, m, L, 1)` + augment, against the seeded
+// search seeded with every node and then with each flipped path's nodes.
+void expect_seeded_flips_equal_global(const Graph& g, int len) {
+  std::vector<NodeId> every(static_cast<std::size_t>(g.node_count()));
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    every[static_cast<std::size_t>(v)] = v;
+  }
+  Matching global(g.node_count());
+  std::vector<std::vector<EdgeId>> global_flips;
+  for (;;) {
+    const auto paths = enumerate_augmenting_paths(g, global, len, 1);
+    if (paths.empty()) break;
+    global.augment(g, paths.front());
+    global_flips.push_back(paths.front());
+  }
+  Matching seeded(g.node_count());
+  std::vector<std::vector<EdgeId>> seeded_flips;
+  SeededPathSearch search;
+  search.begin(g, seeded, len);
+  search.seed(every);
+  while (const auto path = search.next()) {
+    seeded.augment(g, *path);
+    seeded_flips.push_back(*path);
+    std::vector<NodeId> nodes;
+    for (const EdgeId e : *path) {
+      nodes.push_back(g.edge(e).u);
+      nodes.push_back(g.edge(e).v);
+    }
+    search.seed(nodes);
+  }
+  EXPECT_EQ(seeded_flips, global_flips) << "len " << len;
+  EXPECT_TRUE(seeded == global);
+}
+
+// The seeded search is the global scan, reorganized: seeded with every
+// node it finds, flip after flip, exactly the paths the whole-graph loop
+// finds, and the start-list overload over every node returns the full
+// enumeration. The small graphs include cases where a flip gives a node
+// that was already searched (and had no path) a new one, which only the
+// re-seeding after each flip catches.
+TEST(Augmenting, SeededSearchFromEveryNodeIsTheGlobalScan) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = gen::gnp(120, 0.04, seed);
+    for (const int len : {1, 3, 5}) {
+      std::vector<NodeId> every(static_cast<std::size_t>(g.node_count()));
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        every[static_cast<std::size_t>(v)] = v;
+      }
+      const Matching empty(g.node_count());
+      EXPECT_EQ(enumerate_augmenting_paths(g, empty, len, every),
+                enumerate_augmenting_paths(g, empty, len));
+      expect_seeded_flips_equal_global(g, len);
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 10000; ++seed) {
+    const Graph g = gen::gnp(static_cast<NodeId>(10 + seed % 20),
+                             0.1 + static_cast<double>(seed % 7) * 0.05, seed);
+    expect_seeded_flips_equal_global(g, seed % 2 == 0 ? 5 : 7);
+  }
+}
+
+// In a matching with no augmenting path of length <= L, a planted change
+// (a dropped pair, or a newly kept edge) creates paths only through its
+// own nodes: seeded with just those, the search returns the global
+// scan's first path.
+TEST(Augmenting, SeededSearchFromAPlantedChangeFindsTheGlobalFirstPath) {
+  int planted = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Graph g = gen::gnp(150, 0.03, 40 + seed);
+    const int len = seed % 2 == 0 ? 3 : 5;
+    // Every edge but a few held back: the held-back edges are the
+    // planted inserts.
+    std::vector<char> kept(static_cast<std::size_t>(g.edge_count()), 1);
+    for (EdgeId e = 0; e < g.edge_count(); e += 11) {
+      kept[static_cast<std::size_t>(e)] = 0;
+    }
+    const EdgeFilter keep = [&kept](EdgeId e) {
+      return kept[static_cast<std::size_t>(e)] != 0;
+    };
+    std::vector<NodeId> every(static_cast<std::size_t>(g.node_count()));
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      every[static_cast<std::size_t>(v)] = v;
+    }
+    const auto global_first = [&](const Matching& m) {
+      return enumerate_augmenting_paths(g, m, len, every, 1, keep);
+    };
+    // A path-free matching under the filter.
+    Matching m(g.node_count());
+    for (auto p = global_first(m); !p.empty(); p = global_first(m)) {
+      m.augment(g, p.front());
+    }
+    ASSERT_TRUE(global_first(m).empty());
+
+    SeededPathSearch search;
+    // Planted pair drops: both endpoints become free.
+    for (NodeId v = 0; v < g.node_count(); v += 13) {
+      if (!m.is_matched(v)) continue;
+      Matching changed = m;
+      const EdgeId e = changed.matched_edge(v);
+      const std::vector<NodeId> seeds{g.edge(e).u, g.edge(e).v};
+      changed.remove(g, e);
+      const auto expect = global_first(changed);
+      search.begin(g, changed, len, keep);
+      search.seed(seeds);
+      const auto got = search.next();
+      ASSERT_EQ(got.has_value(), !expect.empty());
+      if (got) EXPECT_EQ(*got, expect.front());
+      ++planted;
+    }
+    // Planted inserts: one held-back edge becomes kept.
+    for (EdgeId e = 0; e < g.edge_count(); e += 11) {
+      kept[static_cast<std::size_t>(e)] = 1;
+      const std::vector<NodeId> seeds{g.edge(e).u, g.edge(e).v};
+      const auto expect = global_first(m);
+      search.begin(g, m, len, keep);
+      search.seed(seeds);
+      const auto got = search.next();
+      ASSERT_EQ(got.has_value(), !expect.empty());
+      if (got) EXPECT_EQ(*got, expect.front());
+      kept[static_cast<std::size_t>(e)] = 0;
+      ++planted;
+    }
+  }
+  EXPECT_GT(planted, 40);
+}
+
 }  // namespace
 }  // namespace dmatch

@@ -252,8 +252,8 @@ TEST(DynExtraction, IncrementalAgreesWithFullRescan) {
     std::sort(dirty.begin(), dirty.end());
     net.restore_registers(image);
 
-    const Matching inc =
-        net.extract_matching_resilient(dirty, full.matching);
+    Matching inc = full.matching;
+    net.refresh_matching(dirty, inc);
     const Matching rescan = net.extract_matching_resilient();
     EXPECT_TRUE(inc == rescan);
     // A dirty superset (extra clean nodes listed) must change nothing.
@@ -262,8 +262,8 @@ TEST(DynExtraction, IncrementalAgreesWithFullRescan) {
     std::sort(superset.begin(), superset.end());
     superset.erase(std::unique(superset.begin(), superset.end()),
                    superset.end());
-    const Matching inc2 =
-        net.extract_matching_resilient(superset, full.matching);
+    Matching inc2 = full.matching;
+    net.refresh_matching(superset, inc2);
     EXPECT_TRUE(inc2 == rescan);
 
     net.set_matching(full.matching);  // restore for the next trial
@@ -283,7 +283,8 @@ TEST(DynExtraction, TornDirtyRegisterIsHealed) {
   net.restore_registers(image);
   const std::vector<NodeId> dirty{1};
   congest::DegradationReport rep;
-  const Matching healed = net.extract_matching_resilient(dirty, m, &rep);
+  Matching healed = m;
+  EXPECT_EQ(net.refresh_matching(dirty, healed, &rep), -1);
   // Pair (0,1) involved dirty node 1 and its register no longer claims
   // it, so the pair is gone; node 0's torn register is skipped.
   EXPECT_EQ(healed.size(), 0u);

@@ -17,6 +17,7 @@
 #include "core/verify.hpp"
 #include "dyn/service.hpp"
 #include "dyn/workload.hpp"
+#include "graph/augmenting.hpp"
 #include "graph/generators.hpp"
 
 namespace dmatch {
@@ -258,6 +259,90 @@ TEST(DynQualityDeterminism, AugmentedTrajectoryBitIdenticalAcrossThreads) {
   }
 }
 
+// ------------------------------------- the seeded leftover sweep is exact
+
+// After every epoch the seeded sweep must leave no augmenting path of
+// length <= 2k-1 anywhere in the live graph: the global reference
+// enumerator over the certified live snapshot finds none. The flips it
+// writes back node by node must reach the registers and the mate mirror:
+// the network's strict extraction equals the matching, and the mate view
+// agrees with both. A missed seed leaves a path; a skipped write shows as
+// a disagreement. Returns the number of epochs whose sweep flipped.
+std::size_t check_sweep_exact(WorkloadMode mode, int quality_k,
+                              double fallback, std::uint64_t seed) {
+  const Graph g = gen::gnp(400, 3.0 / 400, seed);
+  ServiceOptions so;
+  so.limits.max_ops = 8;
+  so.limits.max_latency_us = 4'000;
+  so.repair.quality_k = quality_k;
+  so.repair.fallback_fraction = fallback;
+  so.repair.seed = seed;
+  MatchingService svc(g, so);
+  WorkloadOptions wo;
+  wo.mode = mode;
+  wo.seed = seed * 17 + 3;
+  wo.session_fraction = 0.2;  // vertex departures and returns
+  Workload w(g, wo);
+
+  const auto check = [&](std::size_t epoch) {
+    const auto cert = svc.engine().certify_now(false);
+    EXPECT_TRUE(enumerate_augmenting_paths(cert.graph, cert.matching,
+                                           2 * quality_k - 1, 1)
+                    .empty())
+        << "short augmenting path left after epoch " << epoch;
+    const Matching& m = svc.matching();
+    EXPECT_TRUE(svc.engine().network().extract_matching() == m)
+        << "registers disagree with the matching after epoch " << epoch;
+    const auto mate = svc.mate_view();
+    std::size_t stale = 0;
+    for (NodeId v = 0; v < m.node_count(); ++v) {
+      stale += mate[static_cast<std::size_t>(v)] != m.mate(v) ? 1 : 0;
+    }
+    EXPECT_EQ(stale, 0u) << "mate view disagrees after epoch " << epoch;
+  };
+  check(0);
+  std::size_t departures = 0, returns = 0;
+  for (int i = 0; i < 320; ++i) {
+    const UpdateOp op = w.next(svc.mate_view());
+    departures += op.kind == OpKind::kVertexDepart ? 1 : 0;
+    returns += op.kind == OpKind::kVertexReturn ? 1 : 0;
+    if (svc.submit(op) > 0) check(svc.history().size());
+  }
+  svc.flush();
+  check(svc.history().size());
+  EXPECT_GT(departures, 0u);
+  EXPECT_GT(returns, 0u);
+  std::size_t escalated = 0;
+  for (const EpochReport& r : svc.history()) {
+    escalated += r.augment_escalated ? 1 : 0;
+  }
+  return escalated;
+}
+
+TEST(DynQualitySweep, SeededSweepIsExactUnderFlapChurn) {
+  std::size_t flipped = 0;
+  for (const int k : {2, 3}) {
+    flipped += check_sweep_exact(WorkloadMode::kAdversarialFlap, k, 0.25, 5);
+  }
+  EXPECT_GT(flipped, 0u);  // the write-back path ran
+}
+
+TEST(DynQualitySweep, SeededSweepIsExactUnderUniformChurn) {
+  for (const int k : {2, 3}) {
+    check_sweep_exact(WorkloadMode::kUniform, k, 0.25, 7);
+  }
+}
+
+TEST(DynQualitySweep, SeededSweepIsExactUnderHotspotChurn) {
+  for (const int k : {2, 3}) {
+    check_sweep_exact(WorkloadMode::kHotspot, k, 0.25, 9);
+  }
+}
+
+TEST(DynQualitySweep, SeededSweepIsExactUnderForcedFullRecompute) {
+  check_sweep_exact(WorkloadMode::kAdversarialFlap, 2, 0.0, 11);
+}
+
 // ------------------------------- resilient extraction: crashed regions
 
 // Dirty region overlapping crashed nodes: the incremental overload must
@@ -299,8 +384,8 @@ TEST(DynQualityExtraction, DirtyRegionOverlappingCrashedNodes) {
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
   congest::DegradationReport inc_rep;
-  const Matching inc =
-      net.extract_matching_resilient(dirty, ref.matching, &inc_rep);
+  Matching inc = ref.matching;
+  EXPECT_EQ(net.refresh_matching(dirty, inc, &inc_rep), -2);
   const Matching rescan = net.extract_matching_resilient();
   EXPECT_TRUE(inc == rescan);
   EXPECT_EQ(inc.size(), ref.matching.size() - 2);
@@ -343,15 +428,14 @@ TEST(DynQualityExtraction, DirtyRegionOverlappingDepartedNodes) {
   EXPECT_TRUE(svc.matching() == rescan);
 }
 
-// An empty dirty set must return base unchanged, byte for byte.
+// An empty dirty set must leave base unchanged, byte for byte.
 TEST(DynQualityExtraction, EmptyDirtySetReturnsBaseUnchanged) {
   const Graph g = gen::gnp(100, 0.06, 67);
   congest::Network net(g, congest::Model::kCongest, 23);
   const IsraeliItaiResult full = israeli_itai(net);
   congest::DegradationReport rep;
-  const Matching inc =
-      net.extract_matching_resilient(std::span<const NodeId>{}, full.matching,
-                                     &rep);
+  Matching inc = full.matching;
+  EXPECT_EQ(net.refresh_matching(std::span<const NodeId>{}, inc, &rep), 0);
   EXPECT_TRUE(inc == full.matching);
   EXPECT_EQ(inc.size(), full.matching.size());
   EXPECT_EQ(rep.crashed_nodes, 0u);
@@ -359,8 +443,8 @@ TEST(DynQualityExtraction, EmptyDirtySetReturnsBaseUnchanged) {
   EXPECT_EQ(rep.torn_registers_healed, 0u);
 }
 
-// Dirty region = the whole node set degenerates to the non-incremental
-// overload, byte for byte — even when base is stale garbage.
+// Dirty region = the whole node set degenerates to the full rescan,
+// byte for byte — even when base is stale garbage.
 TEST(DynQualityExtraction, WholeGraphDirtyEqualsFullRescan) {
   const Graph g = gen::gnp(100, 0.06, 71);
   congest::Network net(g, congest::Model::kCongest, 29);
@@ -370,13 +454,13 @@ TEST(DynQualityExtraction, WholeGraphDirtyEqualsFullRescan) {
     everything[static_cast<std::size_t>(v)] = v;
   }
   const Matching rescan = net.extract_matching_resilient();
-  const Matching inc =
-      net.extract_matching_resilient(everything, full.matching);
+  Matching inc = full.matching;
+  net.refresh_matching(everything, inc);
   EXPECT_TRUE(inc == rescan);
   // With every node dirty, base contributes nothing: an empty base must
   // produce the identical result.
-  const Matching from_empty = net.extract_matching_resilient(
-      everything, Matching(g.node_count()));
+  Matching from_empty(g.node_count());
+  net.refresh_matching(everything, from_empty);
   EXPECT_TRUE(from_empty == rescan);
 }
 

@@ -5,11 +5,15 @@
 // status 2: an unknown flag, a flag with no value after it, a word that
 // is not a flag, or a value that does not parse completely as what the
 // flag needs. A script that passes a flag the tool no longer has stops
-// there instead of running another configuration.
+// there instead of running another configuration. A value the library
+// would reject (a radius of 0, a probability above 1) is a usage error
+// too: the tools check each such flag's range here, before a library
+// precondition can turn it into a runtime error or an abort.
 #pragma once
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +62,18 @@ class Args {
     return it == values_.end() ? fallback : parse<T>("--" + flag, it->second);
   }
 
+  /// num(), and a usage error unless `ok(value)`; `range` says what `ok`
+  /// accepts, for the message ("--hops: '0' must be >= 1").
+  template <typename T, typename Pred>
+  [[nodiscard]] T num(const std::string& flag, T fallback, Pred ok,
+                      const char* range) const {
+    const T value = num(flag, fallback);
+    if (!ok(value)) {
+      usage("--" + flag + ": '" + get(flag) + "' must be " + range);
+    }
+    return value;
+  }
+
   /// `text` as a number of type T; `what` names it in the usage error
   /// raised when the text is not exactly one such number.
   template <typename T>
@@ -96,19 +112,38 @@ inline Graph generate(const Args& args, const std::string& spec,
       p.push_back(args.parse<double>("--gen " + spec, item));
     }
   }
-  const auto node = [](double x) { return static_cast<NodeId>(x); };
   const std::size_t want = kind == "gnp" || kind == "ba" ? 2
                            : kind == "bip"               ? 3
                                                          : 1;
   if (p.size() != want) args.usage("--gen: bad spec '" + spec + "'");
-  if (kind == "gnp") return gen::gnp(node(p[0]), p[1], seed);
+  // A count must be a whole number in [lo, 2^31 - 1]; a probability
+  // lies in [0, 1]. Checked before the cast, which a fraction, a NaN or
+  // an out-of-range count would make meaningless.
+  const auto count = [&](double x, int lo) {
+    if (!(x >= lo && x <= 2147483647.0 && x == std::floor(x))) {
+      args.usage("--gen " + spec + ": counts must be whole numbers >= " +
+                 std::to_string(lo));
+    }
+    return static_cast<NodeId>(x);
+  };
+  const auto prob = [&](double x) {
+    if (!(x >= 0.0 && x <= 1.0)) {
+      args.usage("--gen " + spec + ": the probability must be in [0, 1]");
+    }
+    return x;
+  };
+  if (kind == "gnp") return gen::gnp(count(p[0], 1), prob(p[1]), seed);
   if (kind == "bip") {
-    return gen::bipartite_gnp(node(p[0]), node(p[1]), p[2], seed);
+    return gen::bipartite_gnp(count(p[0], 1), count(p[1], 1), prob(p[2]),
+                              seed);
   }
-  if (kind == "cycle") return gen::cycle(node(p[0]));
-  if (kind == "tree") return gen::random_tree(node(p[0]), seed);
+  if (kind == "cycle") return gen::cycle(count(p[0], 3));
+  if (kind == "tree") return gen::random_tree(count(p[0], 1), seed);
   if (kind == "ba") {
-    return gen::barabasi_albert(node(p[0]), static_cast<int>(p[1]), seed);
+    const NodeId n = count(p[0], 2);
+    const NodeId m = count(p[1], 1);
+    if (n <= m) args.usage("--gen " + spec + ": ba needs N > M");
+    return gen::barabasi_albert(n, static_cast<int>(m), seed);
   }
   args.usage("--gen: unknown generator '" + kind + "'");
 }

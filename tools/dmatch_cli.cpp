@@ -203,20 +203,20 @@ int run(const std::string& command, const Args& args) {
   const auto num_threads = args.num<unsigned>("threads", 1);
 
   congest::ResilientOptions arq;
-  arq.window = args.num("arq-window", arq.window);
-  DMATCH_EXPECTS(arq.window >= 1);
-  arq.fec_group = args.num("fec-group", 0);
-  DMATCH_EXPECTS(arq.fec_group >= 0 && arq.fec_group <= 16);
-  arq.spec_retx = args.num("spec-retx", 0);
-  DMATCH_EXPECTS(arq.spec_retx >= 0 && arq.spec_retx <= 2);
+  arq.window = args.num(
+      "arq-window", arq.window, [](int w) { return w >= 1; }, ">= 1");
+  arq.fec_group = args.num(
+      "fec-group", 0, [](int f) { return f >= 0 && f <= 16; }, "in 0..16");
+  arq.spec_retx = args.num(
+      "spec-retx", 0, [](int r) { return r >= 0 && r <= 2; }, "in 0..2");
   // The heavy-tailed delay model gets the re-derived RTO deviation
   // multiplier by default (see ResilientOptions::rto_var_mult);
   // --rto-var-mult overrides either way.
   const int default_mult =
       fault.delay_model == congest::DelayModel::kPareto ? 4
                                                         : arq.rto_var_mult;
-  arq.rto_var_mult = args.num("rto-var-mult", default_mult);
-  DMATCH_EXPECTS(arq.rto_var_mult >= 1);
+  arq.rto_var_mult = args.num(
+      "rto-var-mult", default_mult, [](int v) { return v >= 1; }, ">= 1");
 
   congest::Network::Options net_options;
   net_options.num_threads = num_threads;
@@ -230,14 +230,16 @@ int run(const std::string& command, const Args& args) {
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mcm-bipartite") {
     BipartiteMcmOptions options;
-    options.k = args.num("k", 5);
+    options.k = args.num("k", 5, [](int k) { return k >= 1; }, ">= 1");
     options.phase.arq = arq;
     const auto result = approx_mcm_bipartite(g, seed, options, 48, net_options);
     report(g, result.matching, &result.stats, args);
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mcm-general") {
     GeneralMcmOptions options;
-    options.k = args.num("k", 3);
+    // The paper's iteration budget overflows an int beyond k = 12.
+    options.k = args.num(
+        "k", 3, [](int k) { return k >= 2 && k <= 12; }, "in 2..12");
     options.seed = seed;
     options.num_threads = num_threads;
     options.fault = fault;
@@ -248,7 +250,9 @@ int run(const std::string& command, const Args& args) {
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mwm") {
     HalfMwmOptions options;
-    options.epsilon = args.num("epsilon", 0.1);
+    options.epsilon = args.num(
+        "epsilon", 0.1, [](double e) { return e > 0 && e < 0.5; },
+        "in (0, 0.5)");
     options.seed = seed;
     options.num_threads = num_threads;
     options.fault = fault;
@@ -259,7 +263,9 @@ int run(const std::string& command, const Args& args) {
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mwm-local") {
     LocalMwmOptions options;
-    options.epsilon = args.num("epsilon", 0.34);
+    options.epsilon = args.num(
+        "epsilon", 0.34, [](double e) { return e > 0 && e <= 1; },
+        "in (0, 1]");
     options.seed = seed;
     const auto result = local_one_minus_eps_mwm(g, options);
     report(g, result.matching, &result.stats, args);

@@ -227,10 +227,12 @@ int main(int argc, char** argv) {
   RankConfig cfg;
   cfg.procs = args.num<unsigned>("procs", 2);
   cfg.seed = args.num<std::uint64_t>("seed", 1);
-  cfg.rounds = args.num("rounds", 256);
+  cfg.rounds = args.num("rounds", 256, [](int r) { return r >= 0; }, ">= 0");
   cfg.fault = parse_fault_plan(args);
-  cfg.group.heartbeat_timeout_ms = args.num("heartbeat-ms", 2000);
-  cfg.group.recv_retries = args.num("retries", 2);
+  cfg.group.heartbeat_timeout_ms = args.num(
+      "heartbeat-ms", 2000, [](int ms) { return ms > 0; }, "> 0");
+  cfg.group.recv_retries =
+      args.num("retries", 2, [](int r) { return r >= 1; }, ">= 1");
   cfg.kill_rank = args.num("kill-rank", -1);
   cfg.kill_round = args.num("kill-round", -1);
   cfg.trace_prefix = args.get("trace-out");

@@ -599,7 +599,7 @@ class AlphaSynchronizerRun {
       const NodeId u = g_.other_endpoint(e, v);
       const int uport = g_.port_of_edge(u, e);
       DMATCH_OBS(if (shard.sobs != nullptr) {
-        shard.round_bits[static_cast<std::size_t>(round)] += env.msg.bits;
+        shard.round_bits[static_cast<std::size_t>(round)] += env.msg.bits();
       })
       Event ev;
       ev.dst = u;

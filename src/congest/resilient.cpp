@@ -1,6 +1,7 @@
 #include "congest/resilient.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -55,7 +56,7 @@ Message encode_protected(bool halt, bool has_payload, const Message& payload) {
   BitWriter w;
   w.write_bool(halt);
   w.write_bool(has_payload);
-  w.write(has_payload ? payload.bits : 0, kLenBits);
+  w.write(has_payload ? payload.bits() : 0, kLenBits);
   if (has_payload) append_payload(w, payload);
   return Message::from_writer(std::move(w));
 }
@@ -281,15 +282,13 @@ void ResilientProcess::try_reconstruct(Context& ctx, std::size_t port,
   }
   // XOR every held encoding back out of the parity body; what remains is
   // the missing frame's zero-padded encoding.
-  Message rec;
-  rec.words = p.parity_body.words;
-  rec.bits = p.parity_body.bits;
+  Message rec = p.parity_body;
+  const std::span<std::uint64_t> rw = rec.words();
   for (std::uint32_t vr = base; vr != end; ++vr) {
     if (vr == missing_vr) continue;
-    const Message* const enc = find_enc(vr);
-    for (std::size_t i = 0; i < enc->words.size() && i < rec.words.size();
-         ++i) {
-      rec.words[i] ^= enc->words[i];
+    const std::span<const std::uint64_t> ew = find_enc(vr)->words();
+    for (std::size_t i = 0; i < ew.size() && i < rw.size(); ++i) {
+      rw[i] ^= ew[i];
     }
   }
   p.parity_pending = false;
@@ -585,7 +584,7 @@ void ResilientProcess::transmit(Context& ctx) {
         if (!f.txed || cnt == static_cast<std::uint32_t>(opts_.fec_group)) {
           break;
         }
-        const std::uint32_t pb = f.has_payload ? f.payload.bits : 0;
+        const std::uint32_t pb = f.has_payload ? f.payload.bits() : 0;
         if (pb >= (std::uint32_t{1} << kLenBits)) {
           encodable = false;  // un-length-framable payload: skip parity
           break;
@@ -600,9 +599,8 @@ void ResilientProcess::transmit(Context& ctx) {
           if (i == cnt) break;
           const Message enc =
               encode_protected(f.halt, f.has_payload, f.payload);
-          for (std::size_t wi = 0; wi < enc.words.size(); ++wi) {
-            acc[wi] ^= enc.words[wi];
-          }
+          const std::span<const std::uint64_t> ew = enc.words();
+          for (std::size_t wi = 0; wi < ew.size(); ++wi) acc[wi] ^= ew[wi];
           ++i;
         }
         const std::uint32_t base = p.outq.front().vr;

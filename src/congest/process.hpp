@@ -52,6 +52,15 @@ class Context {
   virtual void set_mate_port(int port) = 0;
   virtual void clear_mate() = 0;
 
+  /// Scheduling hint: this node has nothing to do before run-local round
+  /// `round` unless a message arrives. Until then, a step with an empty
+  /// inbox must be a no-op for it — no send, no RNG draw, no register or
+  /// state change — so an executor may skip those steps or ignore the
+  /// hint (the default) and produce the same results. The hint covers
+  /// the current step only: a node stepped again (woken by a message or
+  /// by the round it named) stays awake unless it sleeps again.
+  virtual void sleep_until([[maybe_unused]] int round) {}
+
   /// Observability handle of the shard executing this node, or nullptr
   /// when no Observer is attached. Not part of the CONGEST model —
   /// wrappers (e.g. the resilient transport) use it to emit trace events

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "congest/async.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
@@ -204,6 +206,149 @@ TEST(Network, ExtractValidatesConsistency) {
   net.run([](NodeId, const Graph&) { return std::make_unique<OneSided>(); },
           4);
   EXPECT_THROW(net.extract_matching(), ContractViolation);
+}
+
+/// Sleeps until `wake` (when `sleepy`) and halts there. Node 0 of the
+/// path is the talker: awake, it sends one message to its neighbor in
+/// each round listed in `talk`. Every other node records the rounds it
+/// is stepped in, and forwards each message it receives away from the
+/// talker once. An empty-inbox step before `wake` does nothing, so the
+/// hint may be honoured or ignored.
+class Sleeper final : public Process {
+ public:
+  Sleeper(bool sleepy, int wake, std::vector<int> talk,
+          std::vector<std::vector<int>>& steps, std::vector<int>& heard)
+      : sleepy_(sleepy),
+        wake_(wake),
+        talk_(std::move(talk)),
+        steps_(steps),
+        heard_(heard) {}
+
+  void on_round(Context& ctx, std::span<const Envelope> inbox) override {
+    const auto v = static_cast<std::size_t>(ctx.id());
+    steps_[v].push_back(ctx.round());
+    if (ctx.id() == 0) {
+      for (const int r : talk_) {
+        if (r == ctx.round()) ctx.send(0, one_bit());
+      }
+      halted_ = ctx.round() >= wake_;
+      return;
+    }
+    for (const Envelope& env : inbox) {
+      heard_[v] += 1;
+      const int away = env.port == 0 ? 1 : 0;
+      if (away < ctx.degree()) ctx.send(away, one_bit());
+    }
+    halted_ = ctx.round() >= wake_;
+    if (sleepy_ && !halted_) ctx.sleep_until(wake_);
+  }
+
+  [[nodiscard]] bool halted() const override { return halted_; }
+
+ private:
+  static Message one_bit() {
+    BitWriter w;
+    w.write_bool(true);
+    return Message::from_writer(std::move(w));
+  }
+
+  bool sleepy_;
+  int wake_;
+  std::vector<int> talk_;
+  std::vector<std::vector<int>>& steps_;
+  std::vector<int>& heard_;
+  bool halted_ = false;
+};
+
+struct SleeperRun {
+  RunStats stats;
+  std::vector<std::vector<int>> steps;
+  std::vector<int> heard;
+};
+
+SleeperRun run_sleepers(const Graph& g, bool sleepy, int wake,
+                        const std::vector<int>& talk, int max_rounds,
+                        unsigned threads = 1) {
+  SleeperRun out;
+  out.steps.resize(static_cast<std::size_t>(g.node_count()));
+  out.heard.assign(static_cast<std::size_t>(g.node_count()), 0);
+  Network::Options options;
+  options.num_threads = threads;
+  Network net(g, Model::kCongest, 1, 48, options);
+  out.stats = net.run(
+      [&](NodeId, const Graph&) {
+        return std::make_unique<Sleeper>(sleepy, wake, talk, out.steps,
+                                         out.heard);
+      },
+      max_rounds);
+  return out;
+}
+
+TEST(Network, SleeperIsSteppedAtItsRoundAndAfterMessages) {
+  // Path 0 - 1 - 2: the talker sends at rounds 1 and 2, so node 1 hears
+  // at rounds 2 and 3 and node 2 (forwarded) at rounds 3 and 4.
+  const Graph g = gen::path(3);
+  const SleeperRun run = run_sleepers(g, true, 5, {1, 2}, 100);
+  EXPECT_EQ(run.steps[1], (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(run.steps[2], (std::vector<int>{0, 3, 4, 5}));
+  EXPECT_EQ(run.steps[0], (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(run.heard, (std::vector<int>{0, 2, 2}));
+  EXPECT_TRUE(run.stats.completed);
+}
+
+TEST(Network, SleepingKeepsTheRoundsOfTheAwakeRun) {
+  // Every node asleep most of the run, the talker quiet after round 1:
+  // on path(3) the sleepers alone hold the run open until round 9; on
+  // the longer path and the cycle the forwarded message outlives them.
+  for (const Graph& g : {gen::path(3), gen::path(40), gen::cycle(9)}) {
+    const SleeperRun awake = run_sleepers(g, false, 9, {1}, 100);
+    if (g.node_count() == 3) {
+      EXPECT_EQ(awake.stats.rounds, 10u);
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      const SleeperRun asleep = run_sleepers(g, true, 9, {1}, 100, threads);
+      EXPECT_EQ(asleep.stats.rounds, awake.stats.rounds);
+      EXPECT_EQ(asleep.stats.messages, awake.stats.messages);
+      EXPECT_EQ(asleep.stats.round_messages, awake.stats.round_messages);
+      EXPECT_EQ(asleep.stats.completed, awake.stats.completed);
+      EXPECT_EQ(asleep.heard, awake.heard);
+      EXPECT_LT(asleep.steps[1].size(), awake.steps[1].size());
+    }
+  }
+}
+
+TEST(Network, SleeperPastTheBudgetLeavesTheRunIncomplete) {
+  const Graph g = gen::path(3);
+  const SleeperRun asleep = run_sleepers(g, true, 50, {}, 10);
+  const SleeperRun awake = run_sleepers(g, false, 50, {}, 10);
+  EXPECT_FALSE(asleep.stats.completed);
+  EXPECT_EQ(asleep.stats.rounds, 10u);
+  EXPECT_EQ(awake.stats.rounds, 10u);
+  EXPECT_FALSE(awake.stats.completed);
+  EXPECT_EQ(asleep.steps[1], (std::vector<int>{0}));
+}
+
+TEST(Network, AsyncExecutorIgnoringTheHintAgrees) {
+  const Graph g = gen::path(12);
+  const SleeperRun sync = run_sleepers(g, true, 8, {0, 3, 4}, 100);
+  std::vector<std::vector<int>> steps(12);
+  std::vector<int> heard(12, 0);
+  std::vector<int> mates(12, -1);
+  const congest::AsyncStats async = congest::run_synchronized(
+      g,
+      [&](NodeId, const Graph&) {
+        return std::make_unique<Sleeper>(true, 8, std::vector<int>{0, 3, 4},
+                                         steps, heard);
+      },
+      mates, 1, 100);
+  EXPECT_TRUE(async.completed);
+  EXPECT_EQ(heard, sync.heard);
+  EXPECT_EQ(async.payload_messages, sync.stats.messages);
+  // The synchronizer steps every live node every round.
+  for (int r = 0; r <= 8; ++r) {
+    EXPECT_EQ(steps[5][static_cast<std::size_t>(r)], r);
+  }
+  EXPECT_LT(sync.steps[5].size(), steps[5].size());
 }
 
 TEST(RunStats, MergeAndNormalize) {

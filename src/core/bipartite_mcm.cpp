@@ -76,7 +76,11 @@ double bits_to_double(std::uint64_t bits) {
 ///                     tokens of different-length paths still meet)
 ///   2*ell+1           surviving tokens reach free X nodes; AUGMENT starts
 ///   2*ell+1 + t       AUGMENT reaches the leader; registers are flipped
-/// Every node halts after round 3*ell + 2.
+/// Every node halts after round 3*ell + 2. Between messages a node has
+/// one timed action left — a leader's launch, else that halt — and
+/// sleeps until it (Context::sleep_until), so the engine steps a node
+/// at round 0, in the round after each message it receives, at its
+/// launch and at the last round, and never in between.
 class AugmentIterationProcess final : public Process {
  public:
   AugmentIterationProcess(std::uint8_t side, int ell,
@@ -94,8 +98,9 @@ class AugmentIterationProcess final : public Process {
     const int r = ctx.round();
     if (r == 0) init(ctx);
 
-    // Gather this round's messages by kind.
-    std::vector<std::pair<int, SatCount>> counts;
+    // Gather this round's messages by kind. An unvisited node folds every
+    // count of its first counting round into its per-port table.
+    bool first_counts = false;
     int best_token_port = -1;
     TokenValue best_token;
     int augment_port = -1;
@@ -105,8 +110,16 @@ class AugmentIterationProcess final : public Process {
         case kCount: {
           const std::uint64_t hi = reader.read(64);
           const std::uint64_t lo = reader.read(64);
-          if (!visited_) counts.emplace_back(env.port,
-                                             SatCount::from_words(hi, lo));
+          if (!visited_) {
+            if (counts_.empty()) {
+              counts_.assign(static_cast<std::size_t>(ctx.degree()),
+                             SatCount{});
+            }
+            const SatCount c = SatCount::from_words(hi, lo);
+            counts_[static_cast<std::size_t>(env.port)] += c;
+            total_ += c;
+            first_counts = true;
+          }
           break;
         }
         case kToken: {
@@ -126,7 +139,7 @@ class AugmentIterationProcess final : public Process {
       }
     }
 
-    if (!counts.empty()) on_first_counts(ctx, r, counts);
+    if (first_counts) on_first_counts(ctx, r);
     if (probe_ != nullptr && visited_) {
       probe_->depth[static_cast<std::size_t>(ctx.id())] = depth_;
       probe_->count[static_cast<std::size_t>(ctx.id())] = total_.as_double();
@@ -136,7 +149,12 @@ class AugmentIterationProcess final : public Process {
     if (best_token_port >= 0) on_token(ctx, best_token_port, best_token);
     if (augment_port >= 0) on_augment(ctx, augment_port);
 
-    halted_ = r >= 3 * ell_ + 2;
+    const int last_round = 3 * ell_ + 2;
+    halted_ = r >= last_round;
+    if (!halted_) {
+      ctx.sleep_until(is_leader_ && launch_round_ > r ? launch_round_
+                                                      : last_round);
+    }
   }
 
   [[nodiscard]] bool halted() const override { return halted_; }
@@ -144,7 +162,6 @@ class AugmentIterationProcess final : public Process {
  private:
   void init(Context& ctx) {
     mate_port_ = ctx.mate_port();
-    counts_.assign(static_cast<std::size_t>(ctx.degree()), SatCount{});
     // Region precondition: a participant's matched edge is in-region
     // (frozen boundary pairs are excluded as pairs before the run).
     DMATCH_ASSERT(eligible_ == nullptr || mate_port_ < 0 ||
@@ -160,14 +177,10 @@ class AugmentIterationProcess final : public Process {
     }
   }
 
-  void on_first_counts(Context& ctx, int round,
-                       const std::vector<std::pair<int, SatCount>>& counts) {
+  /// The first counts have been folded into counts_ and total_.
+  void on_first_counts(Context& ctx, int round) {
     visited_ = true;
     depth_ = round;
-    for (const auto& [port, c] : counts) {
-      counts_[static_cast<std::size_t>(port)] += c;
-      total_ += c;
-    }
     if (side_ == 0) {
       // Matched X node (free X are visited at round 0): flood onward. The
       // copy sent back to the mate is discarded there (already visited).
@@ -271,7 +284,7 @@ class AugmentIterationProcess final : public Process {
   int mate_port_ = -1;  // matching state at the start of the iteration
   bool visited_ = false;
   int depth_ = -1;
-  std::vector<SatCount> counts_;
+  std::vector<SatCount> counts_;  // per port; sized at the first counts
   SatCount total_;
 
   bool is_leader_ = false;

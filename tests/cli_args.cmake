@@ -63,6 +63,16 @@ expect_usage(--quality-k ${SERVE} --quality-k 0)
 expect_usage(--quality-k ${SERVE} --quality-k -3)
 expect_usage(--fec-group ${CLI} maximal --gen gnp:64,0.1 --fec-group 17)
 expect_usage(--rounds ${MP} --transport loopback --rounds -5)
+# A thread count above the fixed cap, rejected before any scheduler
+# starts a thread (so a regressed cap cannot start 257 of them on a
+# 10-node graph either).
+expect_usage(--threads ${CLI} maximal --gen gnp:10,0.1 --threads 257)
+expect_usage(--threads ${SERVE} --gen gnp:10,0.1 --threads 257)
+# No command, an unknown one, and no graph: the one usage line.
+expect_usage(usage ${CLI} --help)
+expect_usage(usage ${CLI})
+expect_usage(usage ${CLI} maximal)
+expect_usage(usage ${CLI} maximal --seed 3)
 # A flag with no value, and a stray word.
 expect_usage(--seed ${CLI} maximal --gen gnp:64,0.1 --seed)
 expect_usage(--ops ${SERVE} --ops)

@@ -99,6 +99,18 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+/// Largest `--threads` value a tool accepts. Every worker above the first
+/// is an OS thread the scheduler starts before any round runs, so the
+/// bound is a usage error checked here, independent of the machine.
+inline constexpr unsigned kMaxThreads = 256;
+
+/// The `--threads` value (default 1; 0 = hardware concurrency).
+[[nodiscard]] inline unsigned threads(const Args& args) {
+  return args.num(
+      "threads", 1u, [](unsigned t) { return t <= kMaxThreads; },
+      "in 0..256");
+}
+
 /// The instance a `--gen` spec names: gnp:N,P | bip:NX,NY,P | cycle:N |
 /// tree:N | ba:N,M, drawn with `seed`.
 inline Graph generate(const Args& args, const std::string& spec,

@@ -23,8 +23,8 @@
 //   --epsilon E      approximation parameter for mwm* (default 0.1)
 //   --dot FILE       also write a Graphviz rendering with the matching
 //   --threads N      worker count for the simulated networks and the
-//                    async executor (0 = hardware concurrency, default 1;
-//                    results are bit-identical for any value)
+//                    async executor (0 = hardware concurrency, default 1,
+//                    at most 256; results are bit-identical for any value)
 //
 // Fault injection (maximal, mcm-bipartite, mcm-general, mwm):
 //   --fault-drop P     per-message drop probability
@@ -65,11 +65,16 @@
 //                       re-derived heavy-tail value)
 //
 // Exit code: 0 on success, 1 on a runtime error, 2 on usage errors (an
-// unknown flag, a flag without a value, a malformed value).
+// unknown command or flag, a flag without a value, a malformed value, no
+// --input or --gen).
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "obs/obs.hpp"
 
@@ -86,6 +91,18 @@ namespace {
 
 using tools::Args;
 
+constexpr std::string_view kCommands[] = {"maximal", "mcm-bipartite",
+                                          "mcm-general", "mwm", "mwm-local",
+                                          "exact", "generate"};
+
+/// Print the one usage line on stderr and exit with status 2.
+[[noreturn]] void usage() {
+  std::cerr << "usage: dmatch_cli <maximal|mcm-bipartite|mcm-general|mwm|"
+               "mwm-local|exact|generate> (--input FILE | --gen SPEC) "
+               "[--flag value ...] (see tools/dmatch_cli.cpp)\n";
+  std::exit(2);
+}
+
 Graph load_graph(const Args& args) {
   const auto seed = args.num<std::uint64_t>("seed", 1);
   Graph g;
@@ -93,7 +110,7 @@ Graph load_graph(const Args& args) {
     g = tools::generate(args, args.get("gen"), seed);
   } else {
     const std::string path = args.get("input");
-    DMATCH_EXPECTS(!path.empty());
+    if (path.empty()) usage();
     if (path == "-") {
       g = read_edge_list(std::cin);
     } else {
@@ -169,6 +186,8 @@ void report(const Graph& g, const Matching& m, const congest::RunStats* stats,
 
 int run(const std::string& command, const Args& args) {
   const auto seed = args.num<std::uint64_t>("seed", 1);
+  // Checked before any Network (and its scheduler's threads) exists.
+  const unsigned num_threads = tools::threads(args);
 
   if (command == "generate") {
     const Graph g = load_graph(args);
@@ -199,8 +218,6 @@ int run(const std::string& command, const Args& args) {
     cfg.profile_sketch = args.num<std::size_t>("profile-sketch", 0);
     observer = std::make_unique<obs::Observer>(cfg);
   }
-
-  const auto num_threads = args.num<unsigned>("threads", 1);
 
   congest::ResilientOptions arq;
   arq.window = args.num(
@@ -285,9 +302,6 @@ int run(const std::string& command, const Args& args) {
       m = blossom_mcm(g);
     }
     report(g, m, nullptr, args);
-  } else {
-    std::cerr << "unknown command: " << command << "\n";
-    return 2;
   }
 
   if (observer != nullptr) {
@@ -319,11 +333,9 @@ int run(const std::string& command, const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: dmatch_cli <maximal|mcm-bipartite|mcm-general|mwm|"
-                 "mwm-local|exact|generate> [--key value ...]\n"
-                 "see the header of tools/dmatch_cli.cpp for details\n";
-    return 2;
+  if (argc < 2 || std::find(std::begin(kCommands), std::end(kCommands),
+                            std::string_view(argv[1])) == std::end(kCommands)) {
+    usage();  // also `--help`
   }
   const Args args(
       "dmatch_cli", argc, argv, 2,

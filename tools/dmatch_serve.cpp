@@ -21,8 +21,8 @@
 //                     max(hops, 2K-1), targeting ratio >= 1 - 1/K)
 //   --fallback F      full-recompute fallback fraction (default 0.25;
 //                     0 forces every epoch to a full recompute)
-//   --threads N       repair engine worker count (default 1; trajectory
-//                     is bit-identical for any value)
+//   --threads N       repair engine worker count (default 1, at most
+//                     256; trajectory is bit-identical for any value)
 //   --seed S          seed for topology, workload, and engine (default 1)
 //   --certify 0|1     certify every epoch against core/verify, including
 //                     the exact optimum / approximation ratio (default 0;
@@ -102,7 +102,7 @@ int run(const tools::Args& args) {
   so.repair.quality_k = args.num(
       "quality-k", 1, [](int k) { return k >= 1 && k <= 12; }, "in 1..12");
   so.repair.fallback_fraction = args.num("fallback", 0.25);
-  so.repair.num_threads = args.num<unsigned>("threads", 1);
+  so.repair.num_threads = tools::threads(args);
   so.repair.seed = seed;
   const bool certify = args.num("certify", 0) != 0;
   so.repair.certify = certify;

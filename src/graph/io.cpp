@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "support/assert.hpp"
 
@@ -33,6 +34,12 @@ Graph read_edge_list(std::istream& in) {
       DMATCH_EXPECTS(n >= 0);  // "p" line must come first
       Edge e;
       DMATCH_EXPECTS(ss >> e.u >> e.v);
+      if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
+        throw ContractViolation(
+            "edge-list line " + std::to_string(line_no) + ": endpoint " +
+            std::to_string(e.u < 0 || e.u >= n ? e.u : e.v) +
+            " outside [0, " + std::to_string(n) + ")");
+      }
       if (!(ss >> e.w)) e.w = 1.0;
       DMATCH_EXPECTS(e.w > 0);
       edges.push_back(e);

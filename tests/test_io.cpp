@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -49,6 +50,23 @@ TEST(GraphIo, RejectsMalformedInput) {
   }
   {
     std::stringstream ss("p edge 2 1\ne 0 5\n");  // out of range endpoint
+    EXPECT_THROW(read_edge_list(ss), ContractViolation);
+  }
+  {
+    // Rejected by the reader, naming the line, before a Graph is built.
+    std::stringstream ss("p edge 4 2\ne 0 1\ne 2 9\n");
+    try {
+      (void)read_edge_list(ss);
+      ADD_FAILURE() << "endpoint 9 of a 4-node graph accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("endpoint 9"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    std::stringstream ss("p edge 4 1\ne -1 2\n");  // negative endpoint
     EXPECT_THROW(read_edge_list(ss), ContractViolation);
   }
   {

@@ -131,12 +131,12 @@ class Network {
     /// times (see support/sched.hpp) and, with an observer attached,
     /// emits them as (non-deterministic) kSchedShard trace events and a
     /// sched.shard_service_ns histogram. Results are unchanged.
-    support::SchedOptions sched;
+    support::SchedOptions sched{};
     /// Fault-injection plan. The default (inactive) plan leaves the
     /// engine byte-for-byte identical to the fault-free build; an active
     /// plan injects faults deterministically (see congest/fault.hpp) and
     /// is still bit-identical across num_threads values.
-    FaultPlan fault;
+    FaultPlan fault{};
     /// Observability sink (not owned; must outlive the Network). nullptr
     /// keeps every hook to a single predictable branch on the round loop
     /// and nothing on the per-message path; -DDMATCH_OBS_DISABLED

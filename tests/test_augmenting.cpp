@@ -251,7 +251,9 @@ TEST(Augmenting, SeededSearchFromAPlantedChangeFindsTheGlobalFirstPath) {
       search.seed(seeds);
       const auto got = search.next();
       ASSERT_EQ(got.has_value(), !expect.empty());
-      if (got) EXPECT_EQ(*got, expect.front());
+      if (got) {
+        EXPECT_EQ(*got, expect.front());
+      }
       ++planted;
     }
     // Planted inserts: one held-back edge becomes kept.
@@ -263,7 +265,9 @@ TEST(Augmenting, SeededSearchFromAPlantedChangeFindsTheGlobalFirstPath) {
       search.seed(seeds);
       const auto got = search.next();
       ASSERT_EQ(got.has_value(), !expect.empty());
-      if (got) EXPECT_EQ(*got, expect.front());
+      if (got) {
+        EXPECT_EQ(*got, expect.front());
+      }
       kept[static_cast<std::size_t>(e)] = 0;
       ++planted;
     }

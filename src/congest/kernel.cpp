@@ -7,9 +7,10 @@ namespace dmatch::congest::kernel {
 namespace {
 
 /// Renormalization threshold for the packed 32-bit mailbox epochs: far
-/// below wrap, far above any round budget a single run can execute
-/// between two renormalization checks.
-constexpr std::uint32_t kEpochRenorm = 0xFFFF0000u;
+/// below the gates' sleeper bit (NodeGate::kAsleep), far above any round
+/// budget a single run can execute between two renormalization checks.
+constexpr std::uint32_t kEpochRenorm = 0x7FFF0000u;
+static_assert(kEpochRenorm + 0x10000u <= NodeGate::kAsleep);
 
 std::uint32_t cap_bits_for(NodeId n, std::uint32_t congest_factor) {
   unsigned log_n = 1;
@@ -174,9 +175,10 @@ void State::renormalize_if_due() {
   if (epoch < kEpochRenorm) return;
   // Remap the 32-bit stamp space so epochs restart at 2 without touching
   // message payloads. Live state between rounds is exactly the current-
-  // round inbox (cur stamps equal to epoch) and the receive counters,
-  // which are kept; scheduling marks and nxt stamps are stale by
-  // construction there and collapse to 0.
+  // round inbox (cur stamps equal to epoch), the receive counters and
+  // the sleepers' marks (run-local rounds, not epochs), which are kept;
+  // scheduling marks and nxt stamps are stale by construction there and
+  // collapse to 0.
   for (std::size_t i = 0; i < cur_stamp.size(); ++i) {
     cur_stamp[i] = cur_stamp[i] == epoch ? 2u : 0u;
     nxt_stamp[i] = 0;
@@ -184,7 +186,9 @@ void State::renormalize_if_due() {
   for (unsigned s = 0; s < gates.shards(); ++s) {
     NodeGate* const view = gates.shard_view(s);
     const auto [vb, ve] = gates.range(s);
-    for (std::size_t vi = vb; vi < ve; ++vi) view[vi].mark = 0;
+    for (std::size_t vi = vb; vi < ve; ++vi) {
+      if ((view[vi].mark & NodeGate::kAsleep) == 0) view[vi].mark = 0;
+    }
   }
   epoch = 2;
 }

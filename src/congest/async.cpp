@@ -1,18 +1,13 @@
 #include "congest/async.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <limits>
 #include <map>
 #include <queue>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "support/assert.hpp"
 #include "support/rng.hpp"
-#include "support/sched.hpp"
 
 namespace dmatch::congest {
 
@@ -36,9 +31,9 @@ struct Event {
 /// run — the executor enforces at most one DATA per directed port per
 /// round, each DATA begets at most one ACK, and a node announces SAFE(r)
 /// to each neighbor once — so this is a strict total order on the events
-/// of a run and pop order never depends on insertion order or shard
-/// layout. Delivery delays are pure hashes of the same key, so event
-/// timestamps are also independent of execution order.
+/// of a run and pop order never depends on insertion order. Delivery
+/// delays are pure hashes of the same key, so event timestamps are also
+/// independent of execution order.
 [[nodiscard]] std::tuple<double, NodeId, int, int, int, bool> event_key(
     const Event& e) {
   return {e.time, e.dst,  static_cast<int>(e.kind),
@@ -60,7 +55,7 @@ struct ExtraEnvelope {
   Message msg;
 };
 
-/// Per-node synchronizer state. Written only by the shard owning the node.
+/// Per-node synchronizer state.
 struct NodeState {
   std::unique_ptr<Process> proc;
   Rng rng{0};
@@ -71,25 +66,6 @@ struct NodeState {
   int pending_acks = 0;               // for the DATA of executed_round
   bool announced_safe = false;        // SAFE(executed_round) already sent
   bool respawned = false;             // crash-restart already performed
-};
-
-/// Per-shard state of the wave executor. Everything here has a single
-/// writer (the worker owning the shard); the driver reads it only while
-/// the pool is parked (the pool handshake gives happens-before).
-struct alignas(64) AsyncShard {
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue;
-  AsyncStats stats;           // shard-local accumulators, merged at the end
-  double max_time = 0;        // folded into stats.completion_time
-  std::int64_t inflight_delta = 0;  // DATA sent minus DATA delivered
-  std::exception_ptr error;
-  std::uint64_t stamp_token = 0;    // for the one-message-per-port contract
-  std::vector<std::uint64_t> port_stamp;
-  std::vector<Envelope> outbox;  // scratch, reused across rounds
-  RunStats sends;                // the engine context's send accounting
-  obs::ShardObs* sobs = nullptr;
-#ifndef DMATCH_OBS_DISABLED
-  std::vector<std::uint64_t> round_bits;  // parallels stats.round_payloads
-#endif
 };
 
 class AlphaSynchronizerRun {
@@ -106,29 +82,10 @@ class AlphaSynchronizerRun {
         dseed_(fault_detail::mix(seed, 0xd37a11ce5ULL, 0, 0)) {
     DMATCH_EXPECTS(mate_ports_.size() ==
                    static_cast<std::size_t>(g.node_count()));
-    const unsigned threads =
-        options.num_threads != 0
-            ? options.num_threads
-            : std::max(1u, std::thread::hardware_concurrency());
-    const auto n = static_cast<std::size_t>(g.node_count());
-    dispatcher_ = std::make_unique<support::Scheduler>(threads);
-    // Shard geometry is frozen from the scheduler's task plan before any
-    // event executes; results are shard-layout independent, so thread
-    // counts with different shard counts still agree bit for bit.
-    num_shards_ = dispatcher_->plan_tasks(n);
-    n_ = n;
-    shards_.resize(num_shards_);
-    lanes_.resize(static_cast<std::size_t>(num_shards_) * num_shards_);
-    int max_degree = 0;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      max_degree = std::max(max_degree, g.degree(v));
-    }
-    for (AsyncShard& sh : shards_) {
-      sh.port_stamp.assign(static_cast<std::size_t>(max_degree), 0);
-    }
+    port_stamp_.assign(static_cast<std::size_t>(g.max_degree()), 0);
 
     Rng root(seed);
-    nodes_.resize(n);
+    nodes_.resize(static_cast<std::size_t>(g.node_count()));
     for (NodeId v = 0; v < g.node_count(); ++v) {
       auto& node = nodes_[static_cast<std::size_t>(v)];
       node.proc = factory(v, g);
@@ -144,43 +101,39 @@ class AlphaSynchronizerRun {
       slot_offset_ = kernel::slot_offsets(g);
     }
     DMATCH_OBS(if (options_.observer != nullptr) {
-      (void)options_.observer->begin_run(num_shards_, g);
-      for (unsigned s = 0; s < num_shards_; ++s) {
-        shards_[s].sobs = options_.observer->shard(s);
-      }
+      (void)options_.observer->begin_run(1, g);
+      sobs_ = options_.observer->shard(0);
       clock_base_ = options_.observer->clock();
       if (slot_offset_.empty()) slot_offset_ = kernel::slot_offsets(g);
     })
   }
 
   AsyncStats run(std::vector<char>* dead_out) {
-    // Round 0 and isolated-node spin-up, shard-parallel: each node's
-    // bootstrap touches only its own state and the outgoing lanes.
-    for_each_shard([this](unsigned s) { bootstrap(s); });
-    rethrow_shard_errors();
-    for_each_shard([this](unsigned s) { merge_wave(s); });
-    collect_inflight();
-
-    // Conservative wave loop: all events with time in [T_min, T_min +
-    // min_delay) were queued before the wave opened (anything a wave
-    // event spawns lands >= min_delay later), and concurrent events
-    // address distinct nodes (one shard each), so processing a wave
-    // shard-parallel is order-equivalent to the sequential pop loop.
-    for (;;) {
-      double t_min = std::numeric_limits<double>::infinity();
-      for (const AsyncShard& sh : shards_) {
-        if (!sh.queue.empty()) t_min = std::min(t_min, sh.queue.top().time);
-      }
-      if (t_min == std::numeric_limits<double>::infinity()) break;
-      if (quiescent()) break;
-      const double t_end = t_min + options_.min_delay;
-      for_each_shard([this, t_end](unsigned s) { process_wave(s, t_end); });
-      rethrow_shard_errors();
-      for_each_shard([this](unsigned s) { merge_wave(s); });
-      collect_inflight();
+    for (NodeId v = 0; v < g_.node_count(); ++v) execute_round(v, 0, 0.0);
+    // Isolated nodes receive no events, so no dispatch ever advances
+    // them: spin them forward now (they halt on their own or burn the
+    // round budget, exactly like their engine execution).
+    for (NodeId v = 0; v < g_.node_count(); ++v) {
+      if (g_.degree(v) == 0) try_advance(0.0, v);
     }
 
-    merge_stats();
+    // Pop in canonical-key order, one window [t, t + min_delay) at a
+    // time; quiescence is checked only between windows, because where
+    // the loop stops decides AsyncStats::events and completion_time. An
+    // event spawned inside the window lands at t + min_delay or later
+    // (its cause is at t or later, and IEEE addition is monotone), so
+    // pushing it at once never changes what the window pops.
+    while (!queue_.empty() && !quiescent()) {
+      const double t_end = queue_.top().time + options_.min_delay;
+      while (!queue_.empty() && queue_.top().time < t_end) {
+        Event ev = queue_.top();
+        queue_.pop();
+        ++stats_.events;
+        stats_.completion_time = std::max(stats_.completion_time, ev.time);
+        dispatch(std::move(ev));
+      }
+    }
+
     // Completion means genuine protocol quiescence (all node programs
     // halted, nothing undelivered) -- drained event queues alone can also
     // mean the round budget cut the synchronizer off mid-protocol.
@@ -195,88 +148,7 @@ class AlphaSynchronizerRun {
   }
 
  private:
-  // --- shard geometry -------------------------------------------------
-
-  [[nodiscard]] unsigned shard_of(NodeId v) const {
-    return support::balanced_part_of(n_, num_shards_,
-                                     static_cast<std::size_t>(v));
-  }
-  [[nodiscard]] NodeId shard_begin(unsigned s) const {
-    return static_cast<NodeId>(
-        support::balanced_range(n_, num_shards_, s).begin);
-  }
-  [[nodiscard]] NodeId shard_end(unsigned s) const {
-    return static_cast<NodeId>(support::balanced_range(n_, num_shards_, s).end);
-  }
-  [[nodiscard]] std::vector<Event>& lane(unsigned src, unsigned dst) {
-    return lanes_[static_cast<std::size_t>(src) * num_shards_ + dst];
-  }
-
-  void for_each_shard(const std::function<void(unsigned)>& task) {
-    dispatcher_->run_tasks(num_shards_, task);
-  }
-
-  void rethrow_shard_errors() {
-    // Lowest shard first: deterministic pick when several shards threw.
-    for (AsyncShard& sh : shards_) {
-      if (sh.error) std::rethrow_exception(sh.error);
-    }
-  }
-
-  void collect_inflight() {
-    for (AsyncShard& sh : shards_) {
-      data_in_flight_ += sh.inflight_delta;
-      sh.inflight_delta = 0;
-    }
-    DMATCH_ASSERT(data_in_flight_ >= 0);
-  }
-
-  // --- wave phases (worker-side) --------------------------------------
-
-  void bootstrap(unsigned s) {
-    try {
-      for (NodeId v = shard_begin(s); v < shard_end(s); ++v) {
-        execute_round(s, v, 0, 0.0);
-      }
-      // Isolated nodes receive no events, so no dispatch ever advances
-      // them: spin them forward now (they halt on their own or burn the
-      // round budget, exactly like their engine execution).
-      for (NodeId v = shard_begin(s); v < shard_end(s); ++v) {
-        if (g_.degree(v) == 0) try_advance(s, 0.0, v);
-      }
-    } catch (...) {
-      shards_[s].error = std::current_exception();
-      failed_.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  void process_wave(unsigned s, double t_end) {
-    AsyncShard& shard = shards_[s];
-    try {
-      while (!shard.queue.empty() && shard.queue.top().time < t_end) {
-        if (failed_.load(std::memory_order_relaxed)) return;
-        Event ev = shard.queue.top();
-        shard.queue.pop();
-        ++shard.stats.events;
-        shard.max_time = std::max(shard.max_time, ev.time);
-        dispatch(s, std::move(ev));
-      }
-    } catch (...) {
-      shard.error = std::current_exception();
-      failed_.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  void merge_wave(unsigned t) {
-    AsyncShard& shard = shards_[t];
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      std::vector<Event>& box = lane(s, t);
-      for (Event& ev : box) shard.queue.push(std::move(ev));
-      box.clear();
-    }
-  }
-
-  // --- quiescence / teardown (driver-side, workers parked) ------------
+  // --- quiescence / teardown -----------------------------------------
 
   [[nodiscard]] bool settled_dead(NodeId v) const {
     if (!fault_) return false;
@@ -303,34 +175,6 @@ class AlphaSynchronizerRun {
       }
     }
     return true;
-  }
-
-  void merge_stats() {
-    for (AsyncShard& sh : shards_) {
-      stats_.events += sh.stats.events;
-      stats_.payload_messages += sh.stats.payload_messages;
-      stats_.control_messages += sh.stats.control_messages;
-      stats_.virtual_rounds =
-          std::max(stats_.virtual_rounds, sh.stats.virtual_rounds);
-      stats_.completion_time = std::max(stats_.completion_time, sh.max_time);
-      stats_.dropped_messages += sh.stats.dropped_messages;
-      stats_.duplicated_messages += sh.stats.duplicated_messages;
-      stats_.delayed_messages += sh.stats.delayed_messages;
-      stats_.reordered_inboxes += sh.stats.reordered_inboxes;
-      stats_.restarted_nodes += sh.stats.restarted_nodes;
-      if (sh.stats.round_payloads.size() > stats_.round_payloads.size()) {
-        stats_.round_payloads.resize(sh.stats.round_payloads.size(), 0);
-      }
-      for (std::size_t r = 0; r < sh.stats.round_payloads.size(); ++r) {
-        stats_.round_payloads[r] += sh.stats.round_payloads[r];
-      }
-      DMATCH_OBS(
-          if (sh.round_bits.size() > obs_round_bits_.size()) {
-            obs_round_bits_.resize(sh.round_bits.size(), 0);
-          } for (std::size_t r = 0; r < sh.round_bits.size(); ++r) {
-            obs_round_bits_[r] += sh.round_bits[r];
-          })
-    }
   }
 
   void finish_faults(std::vector<char>* dead_out) {
@@ -368,12 +212,11 @@ class AlphaSynchronizerRun {
     }
   }
 
-  // --- event plumbing (worker-side, shard-local) ----------------------
+  // --- event plumbing -------------------------------------------------
 
   /// Delivery delay as a pure hash of the canonical event identity: the
-  /// same event gets the same delay no matter which shard sends it or
-  /// when — the keystone of cross-thread-count determinism. Uniform in
-  /// [min_delay, max_delay) like the old shared-stream draw.
+  /// same event gets the same delay no matter when it is sent. Uniform
+  /// in [min_delay, max_delay).
   [[nodiscard]] double delay_for(NodeId dst, int dst_port, EventKind kind,
                                  int round, bool synth) const {
     const auto a = static_cast<std::uint64_t>(dst);
@@ -388,29 +231,28 @@ class AlphaSynchronizerRun {
            (options_.max_delay - options_.min_delay) * fault_detail::to_unit(h);
   }
 
-  void enqueue(unsigned s, double now, Event ev) {
+  void enqueue(double now, Event ev) {
     ev.time = now + delay_for(ev.dst, ev.dst_port, ev.kind, ev.round, ev.synth);
-    lane(s, shard_of(ev.dst)).push_back(std::move(ev));
+    queue_.push(std::move(ev));
   }
 
-  void enqueue_control(unsigned s, double now, NodeId dst, int dst_port,
-                       EventKind kind, int round) {
+  void enqueue_control(double now, NodeId dst, int dst_port, EventKind kind,
+                       int round) {
     Event ev;
     ev.dst = dst;
     ev.dst_port = dst_port;
     ev.kind = kind;
     ev.round = round;
-    enqueue(s, now, std::move(ev));
+    enqueue(now, std::move(ev));
   }
 
-  void dispatch(unsigned s, Event ev) {
-    AsyncShard& shard = shards_[s];
+  void dispatch(Event ev) {
     auto& node = nodes_[static_cast<std::size_t>(ev.dst)];
     switch (ev.kind) {
       case EventKind::kData: {
-        --shard.inflight_delta;
+        --data_in_flight_;
         if (!ev.synth) {
-          ++shard.stats.payload_messages;
+          ++stats_.payload_messages;
           // Acknowledge to the sender. The control plane is reliable
           // (Awerbuch's model): even a dropped payload is acked, else
           // the sender would never announce SAFE and the synchronizer
@@ -418,9 +260,9 @@ class AlphaSynchronizerRun {
           const EdgeId e = g_.incident_edges(
               ev.dst)[static_cast<std::size_t>(ev.dst_port)];
           const NodeId sender = g_.other_endpoint(e, ev.dst);
-          enqueue_control(s, ev.time, sender, g_.port_of_edge(sender, e),
+          enqueue_control(ev.time, sender, g_.port_of_edge(sender, e),
                           EventKind::kAck, ev.round);
-          ++shard.stats.control_messages;
+          ++stats_.control_messages;
         }
         if (!ev.dropped) {
           if (ev.file_round > ev.round + 1) {
@@ -436,35 +278,32 @@ class AlphaSynchronizerRun {
       case EventKind::kAck: {
         if (ev.round == node.executed_round) {
           DMATCH_ASSERT(node.pending_acks > 0);
-          if (--node.pending_acks == 0) announce_safe(s, ev.time, ev.dst);
+          if (--node.pending_acks == 0) announce_safe(ev.time, ev.dst);
         }
-        try_advance(s, ev.time, ev.dst);
         break;
       }
       case EventKind::kSafe: {
         ++node.safe_count[ev.round];
-        try_advance(s, ev.time, ev.dst);
         break;
       }
     }
-    if (ev.kind == EventKind::kData) try_advance(s, ev.time, ev.dst);
+    try_advance(ev.time, ev.dst);
   }
 
-  void announce_safe(unsigned s, double now, NodeId v) {
-    AsyncShard& shard = shards_[s];
+  void announce_safe(double now, NodeId v) {
     auto& node = nodes_[static_cast<std::size_t>(v)];
     if (node.announced_safe) return;
     node.announced_safe = true;
     for (int p = 0; p < g_.degree(v); ++p) {
       const NodeId u = g_.neighbor(v, p);
       const EdgeId e = g_.incident_edges(v)[static_cast<std::size_t>(p)];
-      enqueue_control(s, now, u, g_.port_of_edge(u, e), EventKind::kSafe,
+      enqueue_control(now, u, g_.port_of_edge(u, e), EventKind::kSafe,
                       node.executed_round);
-      ++shard.stats.control_messages;
+      ++stats_.control_messages;
     }
   }
 
-  void try_advance(unsigned s, double now, NodeId v) {
+  void try_advance(double now, NodeId v) {
     auto& node = nodes_[static_cast<std::size_t>(v)];
     const auto vi = static_cast<std::size_t>(v);
     for (;;) {
@@ -481,30 +320,27 @@ class AlphaSynchronizerRun {
           return;
         }
       }
-      execute_round(s, v, r + 1, now);
+      execute_round(v, r + 1, now);
     }
   }
 
-  void execute_round(unsigned s, NodeId v, int round, double now) {
-    AsyncShard& shard = shards_[s];
+  void execute_round(NodeId v, int round, double now) {
     auto& node = nodes_[static_cast<std::size_t>(v)];
     const auto vi = static_cast<std::size_t>(v);
     DMATCH_ASSERT(round == node.executed_round + 1);
     node.executed_round = round;
     // Virtual round r sits at clock_base_ + r on the shared timeline.
-    DMATCH_OBS(if (shard.sobs != nullptr) {
-      shard.sobs->now = clock_base_ + static_cast<std::uint64_t>(round);
+    DMATCH_OBS(if (sobs_ != nullptr) {
+      sobs_->now = clock_base_ + static_cast<std::uint64_t>(round);
     })
     node.safe_count.erase(round - 2);  // stale bookkeeping
-    shard.stats.virtual_rounds = std::max(
-        shard.stats.virtual_rounds, static_cast<std::uint64_t>(round));
-    if (static_cast<std::size_t>(round) >= shard.stats.round_payloads.size()) {
+    stats_.virtual_rounds =
+        std::max(stats_.virtual_rounds, static_cast<std::uint64_t>(round));
+    if (static_cast<std::size_t>(round) >= stats_.round_payloads.size()) {
       // Grown before the degenerate-crash return below so dead nodes'
       // silent rounds still appear (as zeros) in the per-round curve.
-      shard.stats.round_payloads.resize(static_cast<std::size_t>(round) + 1,
-                                        0);
-      DMATCH_OBS(shard.round_bits.resize(shard.stats.round_payloads.size(),
-                                         0);)
+      stats_.round_payloads.resize(static_cast<std::size_t>(round) + 1, 0);
+      DMATCH_OBS(obs_round_bits_.resize(stats_.round_payloads.size(), 0);)
     }
 
     if (fault_ &&
@@ -513,16 +349,16 @@ class AlphaSynchronizerRun {
       // are lost (the engine drops them at consumption), but it keeps
       // the synchronizer sound — no data, so SAFE goes out immediately.
       if (const auto it = node.inbox.find(round); it != node.inbox.end()) {
-        shard.stats.dropped_messages += it->second.size();
+        stats_.dropped_messages += it->second.size();
         node.inbox.erase(it);
       }
       if (const auto it = node.extras.find(round); it != node.extras.end()) {
-        shard.stats.dropped_messages += it->second.size();
+        stats_.dropped_messages += it->second.size();
         node.extras.erase(it);
       }
       node.pending_acks = 0;
       node.announced_safe = false;
-      announce_safe(s, now, v);
+      announce_safe(now, v);
       return;
     }
     if (fault_ && !node.respawned &&
@@ -533,7 +369,7 @@ class AlphaSynchronizerRun {
       node.proc = factory_(v, g_);
       DMATCH_ENSURES(node.proc != nullptr);
       mate_ports_[vi] = -1;
-      ++shard.stats.restarted_nodes;
+      ++stats_.restarted_nodes;
     }
 
     std::vector<Envelope> inbox;
@@ -561,20 +397,19 @@ class AlphaSynchronizerRun {
       }
       kernel::reorder_inbox(options_.fault, fseed_,
                             static_cast<std::uint64_t>(round), v, inbox,
-                            shard.stats, shard.sobs);
+                            stats_, sobs_);
     }
 
     // Mirror Network::run: halted nodes with an empty inbox are skipped
     // (they still synchronize, sending SAFE with no data). The context
     // runs in Model::kLocal: the cap is the engine's to enforce.
-    std::vector<Envelope>& outbox = shard.outbox;
-    outbox.clear();
+    outbox_.clear();
     if (!node.proc->halted() || !inbox.empty()) {
       kernel::EngineContext ctx(g_, v, round, node.rng, mate_ports_[vi],
-                                Model::kLocal, 0, outbox, shard.sends);
-      DMATCH_OBS(if (shard.sobs != nullptr) {
+                                Model::kLocal, 0, outbox_, sends_);
+      DMATCH_OBS(if (sobs_ != nullptr) {
         // Same sender-side slots the engine's context profiles.
-        ctx.attach_obs(shard.sobs, slot_offset_[vi]);
+        ctx.attach_obs(sobs_, slot_offset_[vi]);
       })
       node.proc->on_round(ctx, inbox);
     }
@@ -582,24 +417,24 @@ class AlphaSynchronizerRun {
     // CONGEST contract, enforced like the engine's port-slot mailboxes:
     // at most one message per port per round. Without it the canonical
     // event key would not be unique and pop order would be ambiguous.
-    ++shard.stamp_token;
-    for (const Envelope& env : outbox) {
-      auto& stamp = shard.port_stamp[static_cast<std::size_t>(env.port)];
-      DMATCH_EXPECTS(stamp != shard.stamp_token);
-      stamp = shard.stamp_token;
+    ++stamp_token_;
+    for (const Envelope& env : outbox_) {
+      auto& stamp = port_stamp_[static_cast<std::size_t>(env.port)];
+      DMATCH_EXPECTS(stamp != stamp_token_);
+      stamp = stamp_token_;
     }
 
-    node.pending_acks = static_cast<int>(outbox.size());
+    node.pending_acks = static_cast<int>(outbox_.size());
     node.announced_safe = false;
-    shard.stats.round_payloads[static_cast<std::size_t>(round)] +=
-        static_cast<std::uint64_t>(outbox.size());
-    for (Envelope& env : outbox) {
+    stats_.round_payloads[static_cast<std::size_t>(round)] +=
+        static_cast<std::uint64_t>(outbox_.size());
+    for (Envelope& env : outbox_) {
       const EdgeId e =
           g_.incident_edges(v)[static_cast<std::size_t>(env.port)];
       const NodeId u = g_.other_endpoint(e, v);
       const int uport = g_.port_of_edge(u, e);
-      DMATCH_OBS(if (shard.sobs != nullptr) {
-        shard.round_bits[static_cast<std::size_t>(round)] += env.msg.bits();
+      DMATCH_OBS(if (sobs_ != nullptr) {
+        obs_round_bits_[static_cast<std::size_t>(round)] += env.msg.bits();
       })
       Event ev;
       ev.dst = u;
@@ -614,7 +449,7 @@ class AlphaSynchronizerRun {
             options_.fault, fseed_, static_cast<std::uint64_t>(round),
             slot_offset_[static_cast<std::size_t>(u)] +
                 static_cast<std::size_t>(uport),
-            u, shard.stats, shard.sobs);
+            u, stats_, sobs_);
         ev.dropped = f.drop;
         if (f.dup != 0) {
           Event copy;
@@ -625,47 +460,42 @@ class AlphaSynchronizerRun {
           copy.file_round = round + 1 + f.dup;
           copy.synth = true;
           copy.payload = env.msg;
-          enqueue(s, now, std::move(copy));
-          ++shard.inflight_delta;
+          enqueue(now, std::move(copy));
+          ++data_in_flight_;
         }
         if (f.late != 0) ev.file_round = round + 1 + f.late;
       }
       ev.payload = std::move(env.msg);
-      enqueue(s, now, std::move(ev));
-      ++shard.inflight_delta;
+      enqueue(now, std::move(ev));
+      ++data_in_flight_;
     }
-    if (node.pending_acks == 0) announce_safe(s, now, v);
+    if (node.pending_acks == 0) announce_safe(now, v);
   }
 
 #ifndef DMATCH_OBS_DISABLED
-  // Emitted once at the end of the run on the driver thread (shard 0
-  // handle, workers parked). Per-round records are reconstructed on the
-  // virtual-round clock instead of streamed (virtual rounds interleave
-  // across nodes and shards). Timestamps are clock_base_ + round — the
-  // mapping the engine uses — so sync and async runs share one trace
-  // timeline, and the reconstruction consumes only merged, shard-layout-
-  // independent inputs, keeping the output byte-identical across
-  // num_threads.
+  // Emitted once at the end of the run. Per-round records are
+  // reconstructed on the virtual-round clock instead of streamed (virtual
+  // rounds interleave across nodes). Timestamps are clock_base_ + round —
+  // the mapping the engine uses — so sync and async runs share one trace
+  // timeline.
   void finish_obs() {
     obs::Observer& ob = *options_.observer;
-    obs::ShardObs* sobs = shards_[0].sobs;
-    const auto& ids = sobs->ids();
+    const auto& ids = sobs_->ids();
     const std::size_t rounds = stats_.round_payloads.size();
-    obs_round_bits_.resize(rounds, 0);
     for (std::size_t r = 0; r < rounds; ++r) {
-      sobs->now = clock_base_ + r;
-      kernel::record_round_end(ob, *sobs, stats_.round_payloads[r],
+      sobs_->now = clock_base_ + r;
+      kernel::record_round_end(ob, *sobs_, stats_.round_payloads[r],
                                obs_round_bits_[r]);
     }
     if (fault_) {
-      kernel::trace_crash_window(*sobs, sched_.crash_at, sched_.restart_at, 0,
-                                 stats_.virtual_rounds + 1, clock_base_);
-      kernel::count_faults(*sobs, stats_);
+      kernel::trace_crash_window(*sobs_, sched_.crash_at, sched_.restart_at,
+                                 0, stats_.virtual_rounds + 1, clock_base_);
+      kernel::count_faults(*sobs_, stats_);
     }
-    sobs->count(ids.async_events, stats_.events);
-    sobs->count(ids.async_payload_messages, stats_.payload_messages);
-    sobs->count(ids.async_control_messages, stats_.control_messages);
-    sobs->count(ids.async_virtual_rounds, stats_.virtual_rounds);
+    sobs_->count(ids.async_events, stats_.events);
+    sobs_->count(ids.async_payload_messages, stats_.payload_messages);
+    sobs_->count(ids.async_control_messages, stats_.control_messages);
+    sobs_->count(ids.async_virtual_rounds, stats_.virtual_rounds);
     ob.advance_clock(rounds);
   }
 #endif
@@ -678,20 +508,19 @@ class AlphaSynchronizerRun {
   const bool fault_;
   const std::uint64_t dseed_;  // delay-hash seed (derived from run seed)
 
-  unsigned num_shards_ = 1;
-  std::size_t n_ = 0;
-  std::unique_ptr<support::Scheduler> dispatcher_;
-  std::vector<AsyncShard> shards_;
-  std::vector<std::vector<Event>> lanes_;  // (src shard, dst shard) boxes
-  std::atomic<bool> failed_{false};
-
   fault_detail::CrashSchedule sched_;
   std::uint64_t fseed_ = 0;
   std::vector<std::size_t> slot_offset_;
 
   std::vector<NodeState> nodes_;
-  std::int64_t data_in_flight_ = 0;
+  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::int64_t data_in_flight_ = 0;  // DATA sent minus DATA delivered
   AsyncStats stats_;
+  RunStats sends_;                 // the engine context's send accounting
+  std::vector<Envelope> outbox_;   // scratch, reused across rounds
+  std::uint64_t stamp_token_ = 0;  // for the one-message-per-port contract
+  std::vector<std::uint64_t> port_stamp_;
+  obs::ShardObs* sobs_ = nullptr;
 
 #ifndef DMATCH_OBS_DISABLED
   std::uint64_t clock_base_ = 0;
@@ -710,17 +539,6 @@ AsyncStats run_synchronized(const Graph& g, const ProcessFactory& factory,
   AlphaSynchronizerRun run(g, factory, mate_ports, seed, max_virtual_rounds,
                            options);
   return run.run(dead_out);
-}
-
-AsyncStats run_synchronized(const Graph& g, const ProcessFactory& factory,
-                            std::vector<int>& mate_ports, std::uint64_t seed,
-                            int max_virtual_rounds, double min_delay,
-                            double max_delay) {
-  AsyncOptions options;
-  options.min_delay = min_delay;
-  options.max_delay = max_delay;
-  return run_synchronized(g, factory, mate_ports, seed, max_virtual_rounds,
-                          options, nullptr);
 }
 
 AsyncRunResult run_synchronized(const Graph& g, const ProcessFactory& factory,

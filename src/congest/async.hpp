@@ -17,20 +17,15 @@
 // run_synchronized() returns the same per-node results as the synchronous
 // Network for the same node RNG streams -- asserted by the test suite.
 //
-// Execution model (see docs/PROTOCOLS.md, "Sharded async executor"):
-// nodes are partitioned into contiguous shards (one at one thread, four
-// per worker otherwise) that the work-stealing support::Scheduler
-// dispatches, and each shard owns a local event queue ordered by the
-// canonical event key (timestamp, destination, kind, port,
-// round, synthetic-copy flag). Per-event delivery delays are pure
-// hashes of that key, never draws from a shared stream, and the
-// executor advances in conservative time windows of width `min_delay`:
-// every event inside a window was already queued when the window
-// opened (anything an in-window event spawns lands at least min_delay
-// later), and in-window events addressed to different nodes touch
-// disjoint state, so the shard-parallel execution is *bit-identical*
-// to the sequential one for any AsyncOptions::num_threads — matchings,
-// AsyncStats, fault counters, and observability output all agree.
+// Execution model (see docs/PROTOCOLS.md, "Event loop"): one priority
+// queue of events, popped in canonical-key order (timestamp,
+// destination, kind, port, round, synthetic-copy flag) on the calling
+// thread. Per-event delivery delays are pure hashes of that key, never
+// draws from a shared stream, so a run is a pure function of its inputs.
+// The loop pops in windows of width `min_delay` and checks for
+// quiescence between windows: the window boundaries decide where a
+// finished run stops, and with it AsyncStats::events and
+// completion_time.
 //
 // Fault awareness: AsyncOptions carries the same FaultPlan the round
 // engine takes, and the executor injects the same seed-hashed fault
@@ -68,14 +63,10 @@ namespace dmatch::congest {
 
 struct AsyncOptions {
   /// Per-message delivery delay bounds (uniform, seeded). min_delay is
-  /// also the executor's conservative parallel window width: smaller
-  /// values mean more synchronization barriers per simulated second.
+  /// also the width of the event loop's windows, between which it
+  /// checks for quiescence.
   double min_delay = 0.1;
   double max_delay = 3.0;
-  /// Worker count of the sharded event loop. 0 = hardware concurrency;
-  /// 1 = fully sequential (no OS threads are created). Any value
-  /// produces bit-identical runs.
-  unsigned num_threads = 1;
   /// Fault plan with the round engine's semantics. Inactive by default.
   FaultPlan fault;
   /// Observability sink (not owned; must outlive the run). Virtual
@@ -121,12 +112,6 @@ AsyncStats run_synchronized(const Graph& g, const ProcessFactory& factory,
                             int max_virtual_rounds,
                             const AsyncOptions& options = {},
                             std::vector<char>* dead_out = nullptr);
-
-/// Positional compatibility overload (fault-free).
-AsyncStats run_synchronized(const Graph& g, const ProcessFactory& factory,
-                            std::vector<int>& mate_ports, std::uint64_t seed,
-                            int max_virtual_rounds, double min_delay,
-                            double max_delay);
 
 /// Convenience: run on an empty matching and return it. Without an
 /// active plan the registers must be strictly consistent (asserted);

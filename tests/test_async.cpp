@@ -3,17 +3,25 @@
 // paper). These tests run the real protocols both ways and compare.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "congest/async.hpp"
 #include "core/bipartite_mcm.hpp"
 #include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
 #include "mis/luby.hpp"
+#include "support/wire.hpp"
 
 namespace dmatch {
 namespace {
 
+using congest::Context;
+using congest::Envelope;
+using congest::Message;
 using congest::Model;
 using congest::Network;
+using congest::Process;
 
 TEST(AlphaSynchronizer, IsraeliItaiMatchesSynchronousRun) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
@@ -111,10 +119,16 @@ TEST(AlphaSynchronizer, DelayDistributionDoesNotChangeTheResult) {
   const Graph g = gen::gnp(25, 0.2, 6);
   std::vector<int> mates_fast(static_cast<std::size_t>(g.node_count()), -1);
   std::vector<int> mates_slow(static_cast<std::size_t>(g.node_count()), -1);
+  congest::AsyncOptions fast;
+  fast.min_delay = 0.01;
+  fast.max_delay = 0.02;
+  congest::AsyncOptions slow;
+  slow.min_delay = 0.5;
+  slow.max_delay = 40.0;
   congest::run_synchronized(g, israeli_itai_factory(), mates_fast, 12, 1 << 14,
-                            0.01, 0.02);
+                            fast);
   congest::run_synchronized(g, israeli_itai_factory(), mates_slow, 12, 1 << 14,
-                            0.5, 40.0);
+                            slow);
   EXPECT_EQ(mates_fast, mates_slow);
 }
 
@@ -136,6 +150,51 @@ TEST(AlphaSynchronizer, HandlesIsolatedNodes) {
       congest::run_synchronized(g, israeli_itai_factory(), 3, 1 << 10);
   EXPECT_TRUE(result.stats.completed);
   EXPECT_EQ(result.matching.size(), 1u);
+}
+
+TEST(AsyncParallel, ContractViolationPropagatesFromShard) {
+  // Sending twice on one port in the same virtual round violates the
+  // CONGEST delivery contract (and would break the canonical event key);
+  // it must surface as a ContractViolation.
+  class DoubleSender final : public Process {
+   public:
+    void on_round(Context& ctx, std::span<const Envelope>) override {
+      BitWriter w;
+      w.write(1, 1);
+      ctx.send(0, Message::from_writer(std::move(w)));
+      BitWriter w2;
+      w2.write(1, 1);
+      ctx.send(0, Message::from_writer(std::move(w2)));
+      halted_ = true;
+    }
+    [[nodiscard]] bool halted() const override { return halted_; }
+
+   private:
+    bool halted_ = false;
+  };
+  const Graph g = gen::cycle(16);
+  std::vector<int> mates(static_cast<std::size_t>(g.node_count()), -1);
+  EXPECT_THROW(congest::run_synchronized(
+                   g,
+                   [](NodeId, const Graph&) -> std::unique_ptr<Process> {
+                     return std::make_unique<DoubleSender>();
+                   },
+                   mates, 1, 8),
+               ContractViolation);
+}
+
+TEST(AsyncParallel, AgreesWithRoundEngineForAnyThreadPairing) {
+  // The same protocol through the round engine at several thread counts
+  // and through the async executor: one matching.
+  const Graph g = gen::gnp(100, 0.06, 17);
+  const auto async_res =
+      congest::run_synchronized(g, israeli_itai_factory(), 23, 1 << 14);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    Network net(g, Model::kCongest, 23, 48, Network::Options{threads});
+    const IsraeliItaiResult engine = israeli_itai(net);
+    EXPECT_TRUE(engine.matching == async_res.matching)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -346,6 +346,78 @@ TEST(Healing, ResilientExtractionMatchesHealedExtraction) {
   EXPECT_EQ(soft.crashed_nodes, healed.crashed_nodes);
 }
 
+// The next two tests check Network's chunk-ordered extraction across
+// thread counts. They keep the suite name they were first written under,
+// so their test IDs stay stable.
+TEST(AsyncParallel, ParallelExtractMatchesSequentialScan) {
+  // Build + run at several thread counts; the parallel chunk-ordered
+  // extraction must reproduce the sequential matching exactly, and the
+  // resilient extraction must tally the same degradation report.
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.crash_prob = 0.1;
+  for (const std::uint64_t seed : {2u, 8u}) {
+    const Graph g = gen::gnp(400, 0.02, seed);
+    Matching ref;
+    congest::DegradationReport ref_rep;
+    for (const unsigned threads : kThreadCounts) {
+      Network::Options options;
+      options.num_threads = threads;
+      options.fault = plan;
+      Network net(g, Model::kCongest, seed, 48, options);
+      try {
+        net.run(israeli_itai_factory(), 256);
+      } catch (const ContractViolation&) {
+      } catch (const congest::MessageTooLarge&) {
+      }
+      congest::DegradationReport rep;
+      const Matching m = net.extract_matching_resilient(&rep);
+      if (threads == 1) {
+        ref = m;
+        ref_rep = rep;
+      } else {
+        EXPECT_TRUE(ref == m) << "threads=" << threads << " seed=" << seed;
+        EXPECT_EQ(ref_rep.crashed_nodes, rep.crashed_nodes);
+        EXPECT_EQ(ref_rep.dead_registers_healed, rep.dead_registers_healed);
+        EXPECT_EQ(ref_rep.torn_registers_healed, rep.torn_registers_healed);
+      }
+    }
+  }
+}
+
+TEST(AsyncParallel, StrictExtractAfterHealIdenticalAcrossThreadCounts) {
+  // Heal + strict extraction exercise the parallel chunk-ordered scan on
+  // a register state shaped by crashes; every thread count must agree
+  // with the sequential result and with the resilient scan.
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.crash_prob = 0.15;
+  plan.restart_prob = 0.3;
+  const Graph g = gen::gnp(300, 0.03, 19);
+  Matching ref;
+  for (const unsigned threads : kThreadCounts) {
+    Network::Options options;
+    options.num_threads = threads;
+    options.fault = plan;
+    Network net(g, Model::kCongest, 19, 48, options);
+    try {
+      net.run(israeli_itai_factory(), 256);
+    } catch (const ContractViolation&) {
+    } catch (const congest::MessageTooLarge&) {
+    }
+    const Matching via_resilient = net.extract_matching_resilient();
+    net.heal_registers();
+    const Matching via_heal = net.extract_matching();
+    EXPECT_TRUE(via_resilient == via_heal) << "threads=" << threads;
+    EXPECT_TRUE(via_heal.is_valid(g)) << "threads=" << threads;
+    if (threads == 1) {
+      ref = via_heal;
+    } else {
+      EXPECT_TRUE(ref == via_heal) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(Verify, FlagsMatchedDeadNodes) {
   const Graph g = gen::cycle(8);
   Network::Options options;

@@ -1,5 +1,5 @@
 // Scheduler suite (ctest label `sched`): the work-stealing fork-join
-// dispatcher behind both executors, plus the layout-independence
+// dispatcher behind the round engine, plus the layout-independence
 // contract — matchings, stats and observability artifacts must be
 // byte-identical for any thread count, and so for any shard count and
 // any order in which workers claim the shards, with and without fault
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "congest/async.hpp"
 #include "congest/fault.hpp"
 #include "congest/network.hpp"
 #include "core/israeli_itai.hpp"
@@ -237,34 +236,6 @@ TEST(SchedDeterminism, EngineIdenticalAcrossThreads) {
       // the layout-independence claim.
       EXPECT_EQ(got.metrics_json, ref.metrics_json);
       EXPECT_EQ(got.trace_jsonl, ref.trace_jsonl);
-    }
-  }
-}
-
-TEST(SchedDeterminism, AsyncIdenticalAcrossThreads) {
-  const Graph g = gen::gnp(64, 5.0 / 64, 3);
-  FaultPlan faulty;
-  faulty.drop_prob = 0.05;
-  faulty.seed = 9;
-  for (const FaultPlan& plan : {FaultPlan{}, faulty}) {
-    congest::AsyncOptions ref_options;
-    ref_options.num_threads = 1;
-    ref_options.fault = plan;
-    const congest::AsyncRunResult ref = congest::run_synchronized(
-        g, israeli_itai_factory(), 5, 512, ref_options);
-    for (const unsigned threads : kThreadCounts) {
-      congest::AsyncOptions options;
-      options.num_threads = threads;
-      options.fault = plan;
-      const congest::AsyncRunResult got = congest::run_synchronized(
-          g, israeli_itai_factory(), 5, 512, options);
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " faulty=" << plan.any());
-      EXPECT_TRUE(got.matching == ref.matching);
-      EXPECT_EQ(got.stats.events, ref.stats.events);
-      EXPECT_EQ(got.stats.payload_messages, ref.stats.payload_messages);
-      EXPECT_EQ(got.stats.virtual_rounds, ref.stats.virtual_rounds);
-      EXPECT_EQ(got.dead_nodes, ref.dead_nodes);
     }
   }
 }

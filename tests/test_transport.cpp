@@ -178,7 +178,6 @@ TEST(HeavyTail, ParetoDelaysIdenticalAcrossExecutors) {
   EXPECT_GT(engine.delayed_messages, 0u);
 
   congest::AsyncOptions aopts;
-  aopts.num_threads = 2;
   aopts.fault = plan;
   const auto async = run_synchronized(g, factory, 9, budget, aopts);
   ASSERT_TRUE(async.stats.completed);

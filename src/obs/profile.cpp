@@ -9,13 +9,18 @@
 namespace dmatch::obs {
 
 bool CongestionProfiler::bind(const Graph& g) {
-  if (g_ != nullptr) return g_ == &g;
-  // First graph bound wins. Pointer identity is sound as long as the
-  // bound graph outlives the Observer's reporting (true for the drivers:
-  // the input graph lives for the whole run; subsidiary nets built later
-  // cannot reuse its address while it is alive).
-  g_ = &g;
+  if (g_ != nullptr && g_ != &g) return false;
+  // First graph bound wins, recognised by its address. An owner may
+  // replace the graph at that address (DynGraph's universe rebuild puts
+  // a larger one there), so a changed node or slot count re-binds: the
+  // new layout, with the counts cleared.
   const auto n = static_cast<std::size_t>(g.node_count());
+  const auto slots = 2 * static_cast<std::size_t>(g.edge_count());
+  if (g_ == &g && slot_offset_.size() == n + 1 && slot_offset_[n] == slots) {
+    return true;
+  }
+  g_ = &g;
+  for (auto& slab : sketch_) std::fill(slab.begin(), slab.end(), 0);
   slot_offset_.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     slot_offset_[v + 1] =

@@ -13,6 +13,10 @@
 // Runs on other graphs (e.g. the subsidiary nets built by the MCM/MWM
 // drivers) are not link-profiled: only the first graph bound after
 // construction is, so the hot-links report stays about the input graph.
+// That graph is recognised by its address. If the graph at that address
+// later has a different node or slot count (a dyn universe rebuild
+// replaces the Graph in place), bind() takes the new layout and clears
+// the link counts, so the report covers the current graph only.
 //
 // Sketch mode (ObsConfig::profile_sketch > 0): instead of the exact
 // O(m)-word per-slot array, traffic is folded into a count-min sketch
@@ -89,7 +93,9 @@ class CongestionProfiler {
 
   /// Bind the profiler to `g`'s slot layout. Returns true if runs on
   /// this graph should be profiled (first graph bound wins; re-binding
-  /// the same graph returns true again, any other graph false).
+  /// the same address returns true again, any other address false). A
+  /// graph at the bound address whose node or slot count changed is
+  /// re-bound with cleared counts. O(1) unless it re-binds.
   bool bind(const Graph& g);
 
   [[nodiscard]] bool bound() const noexcept { return g_ != nullptr; }

@@ -13,6 +13,7 @@
 #include "dyn/service.hpp"
 #include "dyn/workload.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace dmatch {
 namespace {
@@ -469,6 +470,45 @@ TEST(DynFaultChurn, CrashScheduleDrivesDepartAndReturn) {
     // validity + respects_crashes says no matched edge touches one.
     EXPECT_TRUE(r.certificate->respects_crashes);
     EXPECT_EQ(r.certificate->matched_dead_nodes, 0u);
+  }
+}
+
+// ----------------------------------------------------- link profiling
+
+TEST(DynObs, LinkProfilerFollowsUniverseRebuilds) {
+  // Uniform churn rebuilds the universe, which puts a larger Graph at
+  // the address the link profiler bound to. With link profiling on (the
+  // ObsConfig default) the profiler must take the new slot layout, not
+  // count past the old one, and report only edges of the current
+  // universe.
+  constexpr NodeId kNodes = 2000;
+  const Graph g = gen::gnp(kNodes, 3.0 / kNodes, 707);
+  obs::Observer observer;
+  ServiceOptions so;
+  so.limits.max_ops = 16;
+  so.limits.max_latency_us = 20'000;
+  so.repair.quality_k = 1;
+  so.repair.num_threads = 1;
+  so.repair.seed = 17;
+  so.repair.observer = &observer;
+  WorkloadOptions wo;
+  wo.mode = WorkloadMode::kUniform;
+  wo.seed = 19;
+  MatchingService svc(g, so);
+  Workload w(g, wo);
+  while (svc.history().size() < 40) (void)svc.submit(w.next(svc.mate_view()));
+  std::size_t rebuilds = 0;
+  for (const EpochReport& r : svc.history()) rebuilds += r.rebuilt ? 1 : 0;
+  EXPECT_GT(rebuilds, 0u);
+
+  const Graph& universe = svc.engine().graph().universe();
+  const auto links = observer.profiler().top_links(
+      2 * static_cast<std::size_t>(universe.edge_count()));
+  EXPECT_FALSE(links.empty());
+  for (const auto& link : links) {
+    ASSERT_LT(link.src, universe.node_count());
+    EXPECT_NE(universe.find_edge(link.src, link.dst), kNoEdge)
+        << link.src << "->" << link.dst;
   }
 }
 

@@ -22,9 +22,9 @@
 //   --k K            approximation parameter for mcm-* (default 5 / 3)
 //   --epsilon E      approximation parameter for mwm* (default 0.1)
 //   --dot FILE       also write a Graphviz rendering with the matching
-//   --threads N      worker count for the simulated networks and the
-//                    async executor (0 = hardware concurrency, default 1,
-//                    at most 256; results are bit-identical for any value)
+//   --threads N      worker count for the simulated networks (0 =
+//                    hardware concurrency, default 1, at most 256;
+//                    results are bit-identical for any value)
 //
 // Fault injection (maximal, mcm-bipartite, mcm-general, mwm):
 //   --fault-drop P     per-message drop probability
@@ -66,7 +66,8 @@
 //
 // Exit code: 0 on success, 1 on a runtime error, 2 on usage errors (an
 // unknown command or flag, a flag without a value, a malformed value, no
-// --input or --gen).
+// --input or --gen, a file that cannot be opened, exact on a weighted
+// non-bipartite graph). Every file is opened before any run.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -103,21 +104,42 @@ constexpr std::string_view kCommands[] = {"maximal", "mcm-bipartite",
   std::exit(2);
 }
 
-Graph load_graph(const Args& args) {
+/// The files the flags name, all opened before any run (see
+/// Args::read_file). `input` stays closed for --gen and for --input -
+/// (stdin); the outputs stay closed unless their flag is given.
+struct Files {
+  std::ifstream input;
+  std::ofstream dot, trace, trace_jsonl, metrics;
+
+  Files(const Args& args, bool outputs) {
+    if (!args.has("gen")) {
+      const std::string path = args.get("input");
+      if (path.empty()) usage();
+      if (path != "-") input = args.read_file("--input", path);
+    }
+    if (!outputs) return;
+    if (const std::string path = args.get("dot"); !path.empty()) {
+      dot = args.write_file("--dot", path);
+    }
+    if (const std::string path = args.get("trace-out"); !path.empty()) {
+      trace = args.write_file("--trace-out", path);
+      trace_jsonl = args.write_file("--trace-out", path + ".jsonl");
+    }
+    if (const std::string path = args.get("metrics-out"); !path.empty()) {
+      metrics = args.write_file("--metrics-out", path);
+    }
+  }
+};
+
+Graph load_graph(const Args& args, Files& files) {
   const auto seed = args.num<std::uint64_t>("seed", 1);
   Graph g;
   if (args.has("gen")) {
     g = tools::generate(args, args.get("gen"), seed);
+  } else if (files.input.is_open()) {
+    g = read_edge_list(files.input);
   } else {
-    const std::string path = args.get("input");
-    if (path.empty()) usage();
-    if (path == "-") {
-      g = read_edge_list(std::cin);
-    } else {
-      std::ifstream in(path);
-      DMATCH_EXPECTS(in.good());
-      g = read_edge_list(in);
-    }
+    g = read_edge_list(std::cin);
   }
   if (const std::string w = args.get("weights"); !w.empty()) {
     const auto comma = w.find(',');
@@ -162,7 +184,7 @@ void report_degradation(const congest::DegradationReport& d) {
 }
 
 void report(const Graph& g, const Matching& m, const congest::RunStats* stats,
-            const Args& args) {
+            const Args& args, Files& files) {
   std::cout << "graph: n=" << g.node_count() << " m=" << g.edge_count()
             << "\nmatching: size=" << m.size() << " weight=" << m.weight(g)
             << "\n";
@@ -177,10 +199,9 @@ void report(const Graph& g, const Matching& m, const congest::RunStats* stats,
     std::cout << ' ' << g.edge(e).u << '-' << g.edge(e).v;
   }
   std::cout << "\n";
-  if (const std::string dot = args.get("dot"); !dot.empty()) {
-    std::ofstream out(dot);
-    out << to_dot(g, &m);
-    std::cout << "wrote " << dot << "\n";
+  if (files.dot.is_open()) {
+    files.dot << to_dot(g, &m);
+    std::cout << "wrote " << args.get("dot") << "\n";
   }
 }
 
@@ -188,14 +209,15 @@ int run(const std::string& command, const Args& args) {
   const auto seed = args.num<std::uint64_t>("seed", 1);
   // Checked before any Network (and its scheduler's threads) exists.
   const unsigned num_threads = tools::threads(args);
+  Files files(args, command != "generate");
 
   if (command == "generate") {
-    const Graph g = load_graph(args);
+    const Graph g = load_graph(args, files);
     write_edge_list(std::cout, g);
     return 0;
   }
 
-  const Graph g = load_graph(args);
+  const Graph g = load_graph(args, files);
   const congest::FaultPlan fault = parse_fault_plan(args);
   if (fault.any() &&
       (command == "mwm-local" || command == "exact")) {
@@ -243,14 +265,14 @@ int run(const std::string& command, const Args& args) {
     IsraeliItaiOptions options;
     options.arq = arq;
     const auto result = maximal_matching(g, seed, 48, net_options, options);
-    report(g, result.matching, &result.stats, args);
+    report(g, result.matching, &result.stats, args, files);
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mcm-bipartite") {
     BipartiteMcmOptions options;
     options.k = args.num("k", 5, [](int k) { return k >= 1; }, ">= 1");
     options.phase.arq = arq;
     const auto result = approx_mcm_bipartite(g, seed, options, 48, net_options);
-    report(g, result.matching, &result.stats, args);
+    report(g, result.matching, &result.stats, args, files);
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mcm-general") {
     GeneralMcmOptions options;
@@ -263,7 +285,7 @@ int run(const std::string& command, const Args& args) {
     options.arq = arq;
     options.observer = observer.get();
     const auto result = approx_mcm_general(g, options);
-    report(g, result.matching, &result.stats, args);
+    report(g, result.matching, &result.stats, args, files);
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mwm") {
     HalfMwmOptions options;
@@ -276,7 +298,7 @@ int run(const std::string& command, const Args& args) {
     options.arq = arq;
     options.observer = observer.get();
     const auto result = approx_mwm(g, options);
-    report(g, result.matching, &result.stats, args);
+    report(g, result.matching, &result.stats, args, files);
     if (fault.any()) report_degradation(result.degradation);
   } else if (command == "mwm-local") {
     LocalMwmOptions options;
@@ -285,7 +307,7 @@ int run(const std::string& command, const Args& args) {
         "in (0, 1]");
     options.seed = seed;
     const auto result = local_one_minus_eps_mwm(g, options);
-    report(g, result.matching, &result.stats, args);
+    report(g, result.matching, &result.stats, args, files);
   } else if (command == "exact") {
     const auto side = g.bipartition();
     bool weighted = false;
@@ -298,27 +320,25 @@ int run(const std::string& command, const Args& args) {
     } else if (side.has_value()) {
       m = hopcroft_karp(g, *side);
     } else {
-      DMATCH_EXPECTS(!weighted);  // exact general MWM is not provided
+      // Exact general MWM is not provided.
+      if (weighted) {
+        args.usage(std::string(args.has("weights") ? "--weights" : "--input") +
+                   ": exact on weighted edges needs a bipartite graph");
+      }
       m = blossom_mcm(g);
     }
-    report(g, m, nullptr, args);
+    report(g, m, nullptr, args, files);
   }
 
   if (observer != nullptr) {
     if (!trace_out.empty()) {
-      std::ofstream chrome(trace_out);
-      DMATCH_EXPECTS(chrome.good());
-      observer->trace_sink().write_chrome_json(chrome);
-      std::ofstream jsonl(trace_out + ".jsonl");
-      DMATCH_EXPECTS(jsonl.good());
-      observer->trace_sink().write_jsonl(jsonl);
+      observer->trace_sink().write_chrome_json(files.trace);
+      observer->trace_sink().write_jsonl(files.trace_jsonl);
       std::cout << "wrote " << trace_out << " and " << trace_out << ".jsonl ("
                 << observer->trace_sink().event_count() << " events)\n";
     }
     if (!metrics_out.empty()) {
-      std::ofstream metrics(metrics_out);
-      DMATCH_EXPECTS(metrics.good());
-      observer->metrics().write_json(metrics);
+      observer->metrics().write_json(files.metrics);
       std::cout << "wrote " << metrics_out << "\n";
     }
     if (profile_links > 0) {

@@ -21,13 +21,15 @@
 //   --fault-crash P, --fault-restart P, --fault-seed S, --max-delay D
 //                      deterministic fault plan, same semantics as
 //                      dmatch_cli (identical histories at any procs)
-//   --trace-out PREFIX write PREFIX.rank<r>.jsonl per rank; merge them
-//                      with `trace_summarize --merge OUT PREFIX.*.jsonl`
+//   --trace-out PREFIX write PREFIX.rank<r>.jsonl per rank (a killed
+//                      rank's stays empty); merge them with
+//                      `trace_summarize --merge OUT PREFIX.*.jsonl`
 //   --metrics-out FILE rank 0's merged metrics registry as JSON (equals
 //                      the single-process export byte for byte)
 //
-// Exit code: 0 on success, 1 if the protocol tripped, 2 on usage errors,
-// 3 if a rank failed with an error.
+// Exit code: 0 on success, 1 if the protocol tripped, 2 on usage errors
+// (a file that cannot be written among them: every output file is opened
+// before any rank runs), 3 if a rank failed with an error.
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
@@ -79,15 +81,21 @@ struct RankConfig {
   int kill_round = -1;
   bool tcp = true;
   std::string trace_prefix;
-  std::string metrics_out;
+};
+
+/// The output files, all opened in main before any rank runs (see
+/// Args::write_file): one trace log per rank and rank 0's metrics.
+struct Outputs {
+  std::vector<std::ofstream> traces;  // empty without --trace-out
+  std::ofstream metrics;              // closed without --metrics-out
 };
 
 /// Run one rank to completion; returns its MpResult. Writes this rank's
-/// trace log (all ranks) and the metrics/summary outputs (rank 0).
+/// trace log (all ranks) and the metrics/summary outputs (rank 0). A
+/// forked rank leaves through _exit, so each file is closed here.
 mp::MpResult run_rank(unsigned rank, const Graph& g, const RankConfig& cfg,
-                      mp::Transport& transport) {
-  const bool want_obs =
-      !cfg.trace_prefix.empty() || !cfg.metrics_out.empty();
+                      mp::Transport& transport, Outputs& out) {
+  const bool want_obs = !out.traces.empty() || out.metrics.is_open();
   std::unique_ptr<obs::Observer> observer;
   if (want_obs) {
     obs::ObsConfig oc;
@@ -111,17 +119,15 @@ mp::MpResult run_rank(unsigned rank, const Graph& g, const RankConfig& cfg,
     // survivors' failure detector takes it from there.
     ::raise(SIGKILL);
   }
-  if (!cfg.trace_prefix.empty() && observer != nullptr &&
+  if (!out.traces.empty() && observer != nullptr &&
       !result.simulated_death) {
-    const std::string path =
-        cfg.trace_prefix + ".rank" + std::to_string(rank) + ".jsonl";
-    std::ofstream out(path);
-    observer->trace_sink().write_jsonl(out);
+    observer->trace_sink().write_jsonl(out.traces[rank]);
+    out.traces[rank].close();
   }
   if (rank == 0) {
-    if (!cfg.metrics_out.empty() && observer != nullptr) {
-      std::ofstream out(cfg.metrics_out);
-      observer->metrics().write_json(out);
+    if (out.metrics.is_open() && observer != nullptr) {
+      observer->metrics().write_json(out.metrics);
+      out.metrics.close();
     }
     std::cout << "graph: n=" << g.node_count() << " m=" << g.edge_count()
               << " procs=" << cfg.procs
@@ -161,7 +167,8 @@ mp::MpResult run_rank(unsigned rank, const Graph& g, const RankConfig& cfg,
   return result;
 }
 
-int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port) {
+int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port,
+            Outputs& out) {
   std::vector<pid_t> children;
   for (unsigned r = 1; r < cfg.procs; ++r) {
     const pid_t pid = ::fork();
@@ -169,7 +176,7 @@ int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port) {
     if (pid == 0) {
       try {
         mp::TcpTransport transport(r, cfg.procs, base_port);
-        (void)run_rank(r, g, cfg, transport);
+        (void)run_rank(r, g, cfg, transport, out);
       } catch (const std::exception& e) {
         std::cerr << "rank " << r << ": " << e.what() << "\n";
         ::_exit(3);
@@ -181,7 +188,7 @@ int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port) {
   int exit_code = 0;
   try {
     mp::TcpTransport transport(0, cfg.procs, base_port);
-    const mp::MpResult result = run_rank(0, g, cfg, transport);
+    const mp::MpResult result = run_rank(0, g, cfg, transport, out);
     if (result.tripped) exit_code = 1;
   } catch (const std::exception& e) {
     std::cerr << "rank 0: " << e.what() << "\n";
@@ -194,7 +201,7 @@ int run_tcp(const Graph& g, const RankConfig& cfg, std::uint16_t base_port) {
   return exit_code;
 }
 
-int run_loopback(const Graph& g, const RankConfig& cfg) {
+int run_loopback(const Graph& g, const RankConfig& cfg, Outputs& out) {
   mp::LoopbackHub hub(cfg.procs);
   std::vector<mp::MpResult> results(cfg.procs);
   std::vector<char> failed(cfg.procs, 0);
@@ -202,7 +209,7 @@ int run_loopback(const Graph& g, const RankConfig& cfg) {
   for (unsigned r = 0; r < cfg.procs; ++r) {
     threads.emplace_back([&, r] {
       try {
-        results[r] = run_rank(r, g, cfg, hub.endpoint(r));
+        results[r] = run_rank(r, g, cfg, hub.endpoint(r), out);
       } catch (const std::exception& e) {
         std::cerr << "rank " << r << ": " << e.what() << "\n";
         failed[r] = 1;
@@ -236,7 +243,6 @@ int main(int argc, char** argv) {
   cfg.kill_rank = args.num("kill-rank", -1);
   cfg.kill_round = args.num("kill-round", -1);
   cfg.trace_prefix = args.get("trace-out");
-  cfg.metrics_out = args.get("metrics-out");
   const std::string transport = args.get("transport", "tcp");
   cfg.tcp = transport == "tcp";
   if (!cfg.tcp && transport != "loopback") {
@@ -244,8 +250,19 @@ int main(int argc, char** argv) {
   }
   if (cfg.procs == 0 || cfg.procs > 64) args.usage("--procs: must be 1..64");
   const auto base_port = args.num<std::uint16_t>("base-port", 23700);
+  Outputs out;
+  if (!cfg.trace_prefix.empty()) {
+    for (unsigned r = 0; r < cfg.procs; ++r) {
+      out.traces.push_back(args.write_file(
+          "--trace-out",
+          cfg.trace_prefix + ".rank" + std::to_string(r) + ".jsonl"));
+    }
+  }
+  if (const std::string path = args.get("metrics-out"); !path.empty()) {
+    out.metrics = args.write_file("--metrics-out", path);
+  }
   const Graph g =
       tools::generate(args, args.get("gen", "gnp:64,0.06"), cfg.seed);
-  if (!cfg.tcp) return run_loopback(g, cfg);
-  return run_tcp(g, cfg, base_port);
+  if (!cfg.tcp) return run_loopback(g, cfg, out);
+  return run_tcp(g, cfg, base_port, out);
 }

@@ -98,13 +98,13 @@ class AlphaSynchronizerRun {
       sched_ = fault_detail::compute_crash_schedule(options_.fault,
                                                     g.node_count());
       fseed_ = fault_detail::run_seed(options_.fault.seed, 0);
-      slot_offset_ = kernel::slot_offsets(g);
+      kernel::slot_offsets(g, slot_offset_);
     }
     DMATCH_OBS(if (options_.observer != nullptr) {
       (void)options_.observer->begin_run(1, g);
       sobs_ = options_.observer->shard(0);
       clock_base_ = options_.observer->clock();
-      if (slot_offset_.empty()) slot_offset_ = kernel::slot_offsets(g);
+      if (slot_offset_.empty()) kernel::slot_offsets(g, slot_offset_);
     })
   }
 

@@ -158,10 +158,11 @@ using ProcessFactory =
 
 namespace kernel {
 
-/// CSR slot offsets of `g`: slot slot_offset[v] + p addresses node v's
-/// port p (size n + 1). Fault hashes and link profiles key on these
-/// global slot ids in every executor.
-[[nodiscard]] std::vector<std::size_t> slot_offsets(const Graph& g);
+/// CSR slot offsets of `g` into `off`: slot off[v] + p addresses node v's
+/// port p (size n + 1; the buffer is reused and grows geometrically).
+/// Fault hashes and link profiles key on these global slot ids in every
+/// executor.
+void slot_offsets(const Graph& g, std::vector<std::size_t>& off);
 
 /// Per-node engine bookkeeping, single-writer (the owning shard), packed
 /// so the route phase touches one 8-byte record per delivered node:
@@ -430,9 +431,11 @@ struct State {
   /// fill the slot offsets (a sequential scan). build_routes fills the
   /// rest, shard by shard. The per-message cap is `congest_factor` units
   /// of ceil(log2 n), the log floored at 4 so toy graphs can still run
-  /// protocols whose constants assume a few 64-bit words.
-  void init(const Graph& g, Model model, std::uint32_t congest_factor,
-            unsigned shards);
+  /// protocols whose constants assume a few 64-bit words. Registers and
+  /// gates start clear, no mailbox slot is live, and the epoch, lifetime
+  /// round and fault nonce start over; on a State laid out before, every
+  /// buffer is reused and grows geometrically.
+  void init(const Graph& g, std::uint32_t congest_factor, unsigned shards);
   /// Fill the RNG forks of `root` and the cross-endpoint peer tables for
   /// the node range of slab shard `s`. Every entry is a pure function of
   /// (seed, graph), so distinct shards may be filled concurrently and the

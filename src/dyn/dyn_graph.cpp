@@ -134,20 +134,12 @@ void DynGraph::apply(const UpdateOp& op) {
 void DynGraph::rebuild() {
   DMATCH_EXPECTS(needs_rebuild());
   const auto old_m = static_cast<std::size_t>(universe_.edge_count());
-  // Keep EVERY old edge — dead ones included — so pairs that flap back
-  // later never trigger another rebuild; from_edges preserves input
-  // order, so old edge ids survive as a prefix and the parallel arrays
-  // extend positionally.
-  std::vector<Edge> edges;
-  edges.reserve(old_m + pending_.size());
-  for (std::size_t e = 0; e < old_m; ++e) {
-    Edge ed = universe_.edge(static_cast<EdgeId>(e));
-    ed.w = weight_[e];
-    edges.push_back(ed);
-  }
-  edges.insert(edges.end(), pending_.begin(), pending_.end());
   const NodeId n = std::max(pending_n_, universe_.node_count());
-  universe_ = Graph::from_edges(n, std::move(edges));
+  // Append the pending pairs after EVERY old edge — dead ones included —
+  // so pairs that flap back later never trigger another rebuild, and old
+  // edge ids and ports stay put, so the parallel arrays extend
+  // positionally.
+  universe_.add_edges(n, pending_);
   live_edge_.resize(old_m + pending_.size(), 1);
   weight_.resize(old_m + pending_.size());
   for (std::size_t i = 0; i < pending_.size(); ++i) {

@@ -55,16 +55,20 @@ RepairEngine::RepairEngine(Graph initial, RepairOptions opts)
 }
 
 void RepairEngine::rebuild_network() {
-  congest::Network::Options no;
-  no.num_threads = opts_.num_threads;
-  DMATCH_OBS(no.observer = opts_.observer;)
-  // Release the old engine first, so a rebuild never holds two.
-  net_.reset();
-  net_ = std::make_unique<congest::Network>(
-      g_.universe(), congest::Model::kCongest,
-      fork_seed(opts_.seed, g_.generation()), 48, no);
-  // A fresh Network's registers are all clear; point the matched ones at
-  // their pairs (edge ids survive rebuilds, so the matching carries over).
+  // Each generation gets its own RNG family. The Network is built once;
+  // a grown universe re-lays it out in place, as a fresh one would be.
+  const std::uint64_t seed = fork_seed(opts_.seed, g_.generation());
+  if (net_ == nullptr) {
+    congest::Network::Options no;
+    no.num_threads = opts_.num_threads;
+    DMATCH_OBS(no.observer = opts_.observer;)
+    net_ = std::make_unique<congest::Network>(
+        g_.universe(), congest::Model::kCongest, seed, 48, no);
+  } else {
+    net_->rebind(seed);
+  }
+  // The registers start clear; point the matched ones at their pairs
+  // (edge ids and ports survive rebuilds, so the matching carries over).
   for (NodeId v = 0; v < g_.node_count(); ++v) {
     const EdgeId e = matching_.matched_edge(v);
     if (e != kNoEdge) net_->set_register(v, e);

@@ -59,6 +59,15 @@ struct AlignedAlloc {
   }
 };
 
+/// Make room for `n` elements in `v`, at least doubling its capacity when
+/// it has to grow: a buffer re-laid out for a slowly growing graph then
+/// reallocates O(log) times over its life, while a first sizing reserves
+/// exactly `n`.
+template <typename Vec>
+void reserve_geometric(Vec& v, std::size_t n) {
+  if (n > v.capacity()) v.reserve(n > 2 * v.capacity() ? n : 2 * v.capacity());
+}
+
 template <typename T>
 class ShardSlab {
   static_assert(64 % sizeof(T) == 0,
@@ -70,6 +79,7 @@ class ShardSlab {
 
   /// (Re)build the slab for `count` values across `shards` segments, every
   /// slot initialized to `init`. Layout is the balanced_range partition.
+  /// The storage is reused, and grows geometrically, across resets.
   void reset(std::size_t count, unsigned shards, const T& init) {
     count_ = count;
     shards_ = shards == 0 ? 1 : shards;
@@ -84,6 +94,7 @@ class ShardSlab {
       // initialized but never addressed through the public API.
       total += (len + kPerLine - 1) / kPerLine * kPerLine;
     }
+    reserve_geometric(data_, total);
     data_.assign(total, init);
   }
 

@@ -5,7 +5,9 @@
 
 #include "congest/async.hpp"
 #include "congest/network.hpp"
+#include "core/israeli_itai.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "support/assert.hpp"
 
 namespace dmatch {
@@ -349,6 +351,114 @@ TEST(Network, AsyncExecutorIgnoringTheHintAgrees) {
     EXPECT_EQ(steps[5][static_cast<std::size_t>(r)], r);
   }
   EXPECT_LT(sync.steps[5].size(), steps[5].size());
+}
+
+// ------------------------------------------------------------ rebind
+
+void expect_same_stats(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.total_bits, b.total_bits);
+  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.round_messages, b.round_messages);
+}
+
+/// A Network rebound after Graph::add_edges runs exactly as one built
+/// fresh on the grown graph with the same seed: its RNG streams,
+/// registers, mailboxes, clocks and totals all start over, and its
+/// observer's link profile follows the grown graph.
+TEST(Network, RebindAfterGrowthMatchesAFreshNetwork) {
+  for (const unsigned threads : {1u, 4u}) {
+    Graph g = gen::gnp(300, 4.0 / 300, 41);
+    obs::Observer rebound_obs;
+    Network::Options opts;
+    opts.num_threads = threads;
+    opts.observer = &rebound_obs;
+    Network net(g, Model::kCongest, 5, 48, opts);
+    // Leave state behind: registers, advanced RNG streams, totals,
+    // stale mailbox stamps and a bound link profile.
+    (void)israeli_itai(net, {});
+    (void)net.run(
+        [](NodeId, const Graph&) { return std::make_unique<Chatter>(2, 9); },
+        10);
+
+    std::vector<Edge> extra;
+    for (NodeId v = 0; v < 300; v += 7) {
+      const NodeId w = v % 3 == 0 ? 300 + v % 25 : (v * 13 + 5) % 300;
+      if (w != v && (w >= 300 || g.find_edge(v, w) == kNoEdge)) {
+        extra.push_back({v, w});
+      }
+    }
+    g.add_edges(330, extra);  // ids 325..329 stay isolated
+    net.rebind(9);
+    EXPECT_EQ(net.lifetime_rounds(), 0u);
+    EXPECT_EQ(net.total_stats().rounds, 0u);
+    std::vector<int> image;
+    net.copy_registers(image);
+    EXPECT_EQ(image, std::vector<int>(330, -1));
+
+    obs::Observer fresh_obs;
+    opts.observer = &fresh_obs;
+    Network fresh(g, Model::kCongest, 9, 48, opts);
+    EXPECT_EQ(net.num_shards(), fresh.num_shards());
+    EXPECT_EQ(net.message_cap_bits(), fresh.message_cap_bits());
+
+    const IsraeliItaiResult a = israeli_itai(net, {});
+    const IsraeliItaiResult b = israeli_itai(fresh, {});
+    EXPECT_TRUE(a.matching == b.matching) << "threads " << threads;
+    expect_same_stats(a.stats, b.stats);
+    std::vector<int> image_b;
+    net.copy_registers(image);
+    fresh.copy_registers(image_b);
+    EXPECT_EQ(image, image_b);
+    expect_same_stats(net.total_stats(), fresh.total_stats());
+    EXPECT_EQ(net.lifetime_rounds(), fresh.lifetime_rounds());
+
+    // The profile covers the grown graph's run only, as the fresh one's.
+    const std::size_t slots = 2 * static_cast<std::size_t>(g.edge_count());
+    const auto la = rebound_obs.profiler().top_links(slots);
+    const auto lb = fresh_obs.profiler().top_links(slots);
+    ASSERT_EQ(la.size(), lb.size());
+    ASSERT_FALSE(la.empty());
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      EXPECT_EQ(la[i].src, lb[i].src);
+      EXPECT_EQ(la[i].dst, lb[i].dst);
+      EXPECT_EQ(la[i].messages, lb[i].messages);
+      EXPECT_EQ(la[i].bits, lb[i].bits);
+    }
+  }
+}
+
+/// The tables are laid out for one node and slot count: a run on a graph
+/// grown since fails a precondition instead of indexing past them.
+TEST(Network, RunAfterGrowthWithoutRebindFailsItsPrecondition) {
+  Graph g = gen::cycle(8);
+  Network net(g, Model::kCongest, 1);
+  const congest::ProcessFactory chat = [](NodeId, const Graph&) {
+    return std::make_unique<Chatter>(2, 3);
+  };
+  (void)net.run(chat, 10);
+  g.add_edges(8, std::vector<Edge>{{0, 4}});  // more slots, same nodes
+  EXPECT_THROW((void)net.run(chat, 10), ContractViolation);
+  g.add_edges(10, std::vector<Edge>{{8, 9}});  // more nodes too
+  EXPECT_THROW((void)net.run(chat, 10), ContractViolation);
+  const std::vector<NodeId> some = {0, 1};
+  EXPECT_THROW((void)net.run(some, chat, 10), ContractViolation);
+  net.rebind(1);
+  const RunStats s = net.run(chat, 10);
+  EXPECT_TRUE(s.completed);
+  EXPECT_EQ(s.messages, 2u * 2u * 10u);  // 2 rounds x 2m directed slots
+}
+
+/// Rebinding is for fault-free networks: a crash schedule is sized and
+/// drawn for the graph it was built on.
+TEST(Network, RebindRequiresAFaultFreeNetwork) {
+  const Graph g = gen::cycle(8);
+  Network::Options opts;
+  opts.fault.drop_prob = 0.1;
+  Network net(g, Model::kCongest, 1, 48, opts);
+  EXPECT_THROW(net.rebind(2), ContractViolation);
 }
 
 TEST(RunStats, MergeAndNormalize) {

@@ -1,18 +1,32 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "support/assert.hpp"
 
 namespace dmatch {
 
+namespace {
+
+/// An edge-list rejection naming the input line it is about.
+[[noreturn]] void reject(int line_no, const std::string& what) {
+  throw ContractViolation("edge-list line " + std::to_string(line_no) + ": " +
+                          what);
+}
+
+}  // namespace
+
 Graph read_edge_list(std::istream& in) {
   NodeId n = -1;
   EdgeId m = -1;
+  int header_line = 0;
   std::vector<Edge> edges;
+  std::vector<std::tuple<NodeId, NodeId, int>> pairs;  // (u < v, line)
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
@@ -25,30 +39,62 @@ Graph read_edge_list(std::istream& in) {
     if (directive == "p") {
       // One header per input. Its counts are claims to check against
       // the edges actually read, never sizes to allocate up front.
-      DMATCH_EXPECTS(n < 0);
+      if (n >= 0) {
+        reject(line_no, "second header (the first is on line " +
+                            std::to_string(header_line) + ")");
+      }
       std::string kind;
-      DMATCH_EXPECTS(ss >> kind >> n >> m);
-      DMATCH_EXPECTS(kind == "edge");
-      DMATCH_EXPECTS(n >= 0 && m >= 0);
+      if (!(ss >> kind >> n >> m)) {
+        reject(line_no, "malformed header, expected 'p edge <n> <m>'");
+      }
+      if (kind != "edge") {
+        reject(line_no, "header kind '" + kind + "' is not 'edge'");
+      }
+      if (n < 0 || m < 0) reject(line_no, "negative node or edge count");
+      header_line = line_no;
     } else if (directive == "e") {
-      DMATCH_EXPECTS(n >= 0);  // "p" line must come first
+      if (n < 0) reject(line_no, "edge before the 'p edge <n> <m>' header");
       Edge e;
-      DMATCH_EXPECTS(ss >> e.u >> e.v);
+      if (!(ss >> e.u >> e.v)) {
+        reject(line_no, "malformed edge, expected 'e <u> <v> [w]'");
+      }
       if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n) {
-        throw ContractViolation(
-            "edge-list line " + std::to_string(line_no) + ": endpoint " +
-            std::to_string(e.u < 0 || e.u >= n ? e.u : e.v) +
-            " outside [0, " + std::to_string(n) + ")");
+        reject(line_no, "endpoint " +
+                            std::to_string(e.u < 0 || e.u >= n ? e.u : e.v) +
+                            " outside [0, " + std::to_string(n) + ")");
+      }
+      if (e.u == e.v) {
+        reject(line_no, "self-loop on node " + std::to_string(e.u));
       }
       if (!(ss >> e.w)) e.w = 1.0;
-      DMATCH_EXPECTS(e.w > 0);
+      if (!(e.w > 0)) reject(line_no, "weight must be positive");
       edges.push_back(e);
+      pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v), line_no);
     } else {
-      DMATCH_EXPECTS(!"unknown directive in edge-list input");
+      reject(line_no, "unknown directive '" + directive + "'");
     }
   }
-  DMATCH_EXPECTS(n >= 0);
-  DMATCH_EXPECTS(static_cast<EdgeId>(edges.size()) == m);
+  if (n < 0) {
+    throw ContractViolation(
+        "edge-list input has no 'p edge <n> <m>' header (" +
+        std::to_string(line_no) + " lines read)");
+  }
+  if (static_cast<EdgeId>(edges.size()) != m) {
+    reject(header_line, "header declares " + std::to_string(m) +
+                            " edges, the input has " +
+                            std::to_string(edges.size()));
+  }
+  // A pair listed twice: name the later line, and the earlier one.
+  std::sort(pairs.begin(), pairs.end());
+  for (std::size_t i = 1; i < pairs.size(); ++i) {
+    const auto& [u, v, first] = pairs[i - 1];
+    const auto& [u2, v2, again] = pairs[i];
+    if (u == u2 && v == v2) {
+      reject(again, "duplicate edge " + std::to_string(u) + " " +
+                        std::to_string(v) + " (first on line " +
+                        std::to_string(first) + ")");
+    }
+  }
   return Graph::from_edges(n, std::move(edges));
 }
 

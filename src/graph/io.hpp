@@ -17,7 +17,11 @@
 namespace dmatch {
 
 /// Parse the edge-list format above. Throws ContractViolation on malformed
-/// input (unknown directive, endpoint out of range, wrong edge count).
+/// input, with a message that names the input line ("edge-list line N:
+/// ..."): a missing, second or malformed header, an edge before the
+/// header, a malformed edge, an endpoint out of range, a self-loop, a
+/// non-positive weight, a pair listed twice, an unknown directive, or an
+/// edge count that disagrees with the header.
 Graph read_edge_list(std::istream& in);
 
 /// Serialize g in the same format (weights always written).

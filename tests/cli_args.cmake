@@ -91,6 +91,33 @@ expect_usage(--dot ${CLI} maximal --gen gnp:64,0.1 --dot ${missing}/g.dot)
 expect_usage(--metrics-out ${MP} --transport loopback
              --metrics-out ${missing}/m.json)
 expect_usage(--trace-out ${MP} --transport loopback --trace-out ${missing}/t)
+# A malformed --input file is an input error, not a usage error: exit 1
+# and one stderr line naming the input line (or the missing header),
+# never a source location.
+function(expect_bad_input text content)
+  set(file "cli_bad_input.txt")
+  file(WRITE "${file}" "${content}")
+  execute_process(COMMAND ${CLI} maximal --input ${file} RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  file(REMOVE "${file}")
+  string(REGEX MATCHALL "\n" newlines "${err}")
+  list(LENGTH newlines lines)
+  string(FIND "${err}" "${text}" at)
+  string(FIND "${err}" ".cpp" src)
+  if(NOT rc STREQUAL "1" OR NOT lines EQUAL 1 OR at EQUAL -1
+     OR NOT src EQUAL -1)
+    message(FATAL_ERROR "expected exit 1 and one line naming '${text}' "
+                        "for input '${content}'\ngot exit ${rc}, "
+                        "stderr:\n${err}")
+  endif()
+endfunction()
+expect_bad_input("no 'p edge <n> <m>' header" "")
+expect_bad_input("edge-list line 2: malformed edge" "p edge 3 1\ne 0 x\n")
+expect_bad_input("edge-list line 3: duplicate edge 0 1"
+                 "p edge 3 2\ne 0 1\ne 1 0\n")
+expect_bad_input("edge-list line 2: self-loop" "p edge 3 1\ne 1 1\n")
+expect_bad_input("edge-list line 2: endpoint 5" "p edge 2 1\ne 0 5\n")
+
 # Exact general MWM is not provided: weights on a non-bipartite graph.
 expect_usage(--weights ${CLI} exact --gen gnp:20,0.3 --weights 1,5)
 

@@ -1,18 +1,27 @@
 // Mutable graph state for the dynamic matching service, layered over the
-// immutable Graph substrate.
+// append-only Graph substrate.
 //
-// The CONGEST simulator's Graph is build-once (topology IS the network),
-// so dynamism is represented as a *universe* graph plus liveness masks:
-// every pair the service has ever seen is a universe edge, and updates
-// toggle per-edge / per-vertex liveness in O(deg). The persistent
-// round-engine Network the repair engine runs on is built over the
-// universe, with dead edges excluded via eligibility masks — so churn on
-// known pairs (flaps, session reconnects, crash-driven depart/return)
-// never rebuilds anything. Only a genuinely new pair (or a new vertex
-// id) lands in a pending list and forces a universe rebuild at the next
-// epoch boundary — an O(n + m) generation bump the service batches and
-// reports (dyn.rebuilds, kDynRebuild), and that shows up in the p99
-// tail exactly where a real system would pay it.
+// The CONGEST simulator's Graph only grows (topology IS the network, and
+// an edge's id and ports never change), so dynamism is represented as a
+// *universe* graph plus liveness masks: every pair the service has ever
+// seen is a universe edge, and updates toggle per-edge / per-vertex
+// liveness in O(deg). The persistent round-engine Network the repair
+// engine runs on is built over the universe, with dead edges excluded via
+// eligibility masks — so churn on known pairs (flaps, session
+// reconnects, crash-driven depart/return) never rebuilds anything. Only a
+// genuinely new pair (or a new vertex id) lands in a pending list and
+// forces a universe rebuild at the next epoch boundary: a generation bump
+// the service batches and reports (dyn.rebuilds, kDynRebuild). The
+// rebuild appends the pending pairs to the universe in place
+// (Graph::add_edges) and the repair engine re-lays out its one Network
+// over the grown universe (Network::rebind); both reuse their buffers, so
+// a steady stream of rebuilds allocates nothing, but each is still a
+// linear O(n + m) pass — the cost shows up in the tail exactly where a
+// real system would pay it.
+//
+// The universe's own edge weights are those the pairs had when they were
+// appended; they do not follow later re-weights. Nothing reads them:
+// effective_weight() and snapshot() read the effective weights only.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +77,10 @@ class DynGraph {
     return !pending_.empty() || pending_n_ > universe_.node_count();
   }
 
-  /// Merge the pending pairs into a fresh universe (generation bump).
-  /// Existing edge ids are invalidated; node ids are stable (the id
-  /// space only grows). Dead edges are retained so later re-inserts of
-  /// the same pair stay rebuild-free.
+  /// Append the pending pairs to the universe (generation bump). Edge
+  /// ids, node ids and ports are stable (the universe only grows). Dead
+  /// edges are retained so later re-inserts of the same pair stay
+  /// rebuild-free.
   void rebuild();
 
   /// Live subgraph as a standalone Graph on the SAME node ids (departed

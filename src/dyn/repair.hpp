@@ -10,10 +10,12 @@
 //   1. apply the ops to the DynGraph masks, clearing the mate
 //      bookkeeping of destroyed pairs and feeding the invalidation
 //      tracker (freed mates seed augmenting frontiers);
-//   2. if the epoch introduced genuinely new pairs, rebuild the universe
-//      and re-create the Network over it (registers re-seeded from the
-//      current matching; edge and node ids are stable, so the matching
-//      carries over verbatim);
+//   2. if the epoch introduced genuinely new pairs, append them to the
+//      universe (Graph::add_edges) and rebind the one Network over the
+//      grown universe with the next generation's seed, which leaves it
+//      exactly as a fresh Network would be (registers re-seeded from the
+//      current matching; edge ids, node ids and ports are stable, so the
+//      matching carries over verbatim);
 //   3. expand the seeds into the k-hop dirty region, split it into
 //      active / frozen, and extend with the free ring
 //      (dyn/invalidate.hpp);
@@ -204,7 +206,7 @@ class RepairEngine {
 
   DynGraph g_;
   RepairOptions opts_;
-  std::unique_ptr<congest::Network> net_;  // over g_.universe(); rebuilt
+  std::unique_ptr<congest::Network> net_;  // over g_.universe(); rebound
                                            // on generation bumps
   Matching matching_;            // mirrors the registers (universe ids)
   std::vector<NodeId> mate_;     // post-op mate view fed to invalidation

@@ -36,6 +36,8 @@
 #include "core/bipartite_mcm.hpp"
 #include "core/general_mcm.hpp"
 #include "core/israeli_itai.hpp"
+#include "core/local_generic_mcm.hpp"
+#include "core/local_mwm.hpp"
 #include "dyn/service.hpp"
 #include "dyn/workload.hpp"
 #include "graph/generators.hpp"
@@ -223,6 +225,54 @@ std::uint64_t israeli_itai_cell() {
   d.degradation(r.degradation);
   d.metrics(observer);
   return d.value();
+}
+
+/// LOCAL Algorithms 1 + 2 (Theorem 3.7): the matching, the RunStats and
+/// the phase and retry counts.
+std::uint64_t local_generic_cell(const Graph& g, double epsilon,
+                                 std::uint64_t seed) {
+  LocalGenericOptions options;
+  options.epsilon = epsilon;
+  options.seed = seed;
+  const LocalGenericResult r = local_generic_mcm(g, options);
+  Digest d;
+  d.matching(r.matching);
+  d.stats(r.stats);
+  d.u64(static_cast<std::uint64_t>(r.phases));
+  d.u64(static_cast<std::uint64_t>(r.phase_retries));
+  return d.value();
+}
+
+/// Section 4's LOCAL (1 - eps)-MWM: the matching, the RunStats and the
+/// sweep count. A positive `reaches` is the weight the run must end at.
+std::uint64_t local_mwm_cell(const Graph& g, double epsilon, bool adaptive,
+                             std::uint64_t seed, Weight reaches = 0) {
+  LocalMwmOptions options;
+  options.epsilon = epsilon;
+  options.adaptive_sweeps = adaptive;
+  options.seed = seed;
+  const LocalMwmResult r = local_one_minus_eps_mwm(g, options);
+  if (reaches > 0) {
+    EXPECT_DOUBLE_EQ(r.matching.weight(g), reaches);
+  }
+  Digest d;
+  d.matching(r.matching);
+  d.stats(r.stats);
+  d.u64(static_cast<std::uint64_t>(r.sweeps));
+  return d.value();
+}
+
+/// A C4 whose four gains share one class, so the first sweep can take the
+/// light pair; the only improvement left is then the alternating cycle,
+/// and the run must apply it (weight 2 -> 3). The cycle runs 0-1-2-3-0,
+/// and `heavy_first` puts the heavy pair on 0-1, so the light matching
+/// leaves the cycle's first edge unmatched.
+std::uint64_t local_mwm_c4_cell(bool heavy_first, std::uint64_t seed) {
+  const Weight a = heavy_first ? 1.5 : 1.0;
+  const Weight b = heavy_first ? 1.0 : 1.5;
+  return local_mwm_cell(
+      Graph::from_edges(4, {{0, 1, a}, {1, 2, b}, {2, 3, a}, {0, 3, b}}),
+      0.5, true, seed, 3.0);
 }
 
 /// A MatchingService trajectory: every EpochReport state field
@@ -504,6 +554,28 @@ const std::map<std::string, Cell>& cells() {
     t["counting_probe_ell3"] = counting_probe_cell;
     t["alg4_k2"] = alg4_cell;
     t["israeli_itai"] = israeli_itai_cell;
+    t["local_generic_gnp30_eps034"] = [] {
+      return local_generic_cell(gen::gnp(30, 0.15, 5), 0.34, 21);
+    };
+    t["local_generic_cycle15_eps05"] = [] {
+      return local_generic_cell(gen::cycle(15), 0.5, 6);
+    };
+    t["local_mwm_gnp12_eps034_adaptive"] = [] {
+      return local_mwm_cell(
+          gen::with_uniform_weights(gen::gnp(12, 0.35, 31), 1.0, 20.0, 32),
+          0.34, true, 33);
+    };
+    t["local_mwm_gnp12_eps051_fixed"] = [] {
+      return local_mwm_cell(
+          gen::with_uniform_weights(gen::gnp(12, 0.3, 14), 1.0, 9.0, 15),
+          0.51, false, 16);
+    };
+    t["local_mwm_c4_swap_first_edge_matched"] = [] {
+      return local_mwm_c4_cell(false, 3);
+    };
+    t["local_mwm_c4_swap_first_edge_unmatched"] = [] {
+      return local_mwm_c4_cell(true, 1);
+    };
     t["dyn_flap_k2_n2000"] = [] { return dyn_cell(true, 2, 1); };
     t["dyn_uniform_k1_n2000"] = [] { return dyn_cell(false, 1, 1); };
     t["dyn_uniform_k2_t4_n2000"] = [] { return dyn_cell(false, 2, 4); };

@@ -1,7 +1,9 @@
 // Algorithms 1 + 2 / Theorem 3.7: the generic (1 - eps)-MCM in the LOCAL
 // model (unbounded, but fully accounted, message sizes).
 //
-// Per phase ell = 1, 3, ..., 2k-1 (k = ceil(1/eps)):
+// Per phase ell = 1, 3, ..., 2k-1 (k = ceil(1/eps)), one run of the LOCAL
+// augmentation engine (core/local_augment.hpp) that Section 4's
+// (1 - eps)-MWM remark also runs, with one MIS class:
 //   * view stage (2*ell rounds): every node floods node/edge records until
 //     it holds its distance-2*ell view (Algorithm 2's exploration);
 //   * local stage: each node enumerates the augmenting paths of length
@@ -28,14 +30,12 @@
 
 namespace dmatch {
 
+/// Each phase runs ceil(log2(n^(ell+1))) MIS iterations and re-runs while
+/// the oracle still finds an augmenting path of at most ell edges (the
+/// fixed budget fails only w.h.p.; `phase_retries` counts the re-runs).
 struct LocalGenericOptions {
   /// Approximation parameter; k = ceil(1/eps) phases of odd lengths.
   double epsilon = 0.34;
-  /// MIS iterations per phase: ceil(factor * log2(n^(ell+1))).
-  double mis_budget_factor = 1.0;
-  /// Re-run a phase if the oracle still finds a short augmenting path
-  /// (compensates for the w.h.p. failure probability of a fixed budget).
-  bool retry_incomplete_phase = true;
   std::uint64_t seed = 1;
 };
 

@@ -1,6 +1,5 @@
 #include "mis/luby.hpp"
 
-#include <algorithm>
 #include <memory>
 
 namespace dmatch {
@@ -100,52 +99,6 @@ MisResult luby_mis_distributed(congest::Network& net, int max_rounds) {
   result.in_mis.assign(
       static_cast<std::size_t>(net.graph().node_count()), 0);
   result.stats = net.run(luby_mis_factory(result.in_mis), max_rounds);
-  return result;
-}
-
-MisResult luby_mis_sequential(const std::vector<std::vector<int>>& adj,
-                              Rng& rng) {
-  const std::size_t n = adj.size();
-  MisResult result;
-  result.in_mis.assign(n, 0);
-  std::vector<MisState> state(n, MisState::kUndecided);
-  std::vector<std::uint64_t> value(n, 0);
-
-  auto any_undecided = [&] {
-    return std::any_of(state.begin(), state.end(), [](MisState s) {
-      return s == MisState::kUndecided;
-    });
-  };
-
-  while (any_undecided()) {
-    ++result.iterations;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (state[v] == MisState::kUndecided) value[v] = rng();
-    }
-    std::vector<std::size_t> joiners;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (state[v] != MisState::kUndecided) continue;
-      bool is_local_max = true;
-      for (int u : adj[v]) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (state[ui] != MisState::kUndecided) continue;
-        if (value[ui] > value[v] ||
-            (value[ui] == value[v] && ui > v)) {
-          is_local_max = false;
-          break;
-        }
-      }
-      if (is_local_max) joiners.push_back(v);
-    }
-    for (std::size_t v : joiners) {
-      state[v] = MisState::kIn;
-      result.in_mis[v] = 1;
-      for (int u : adj[v]) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (state[ui] == MisState::kUndecided) state[ui] = MisState::kOut;
-      }
-    }
-  }
   return result;
 }
 

@@ -1,14 +1,9 @@
-// Luby's randomized maximal independent set.
-//
-// Two forms are provided:
-//  * a real distributed protocol over the communication graph (used by
-//    tests and as a standalone building block), and
-//  * a sequential emulation over an explicit conflict graph, which is what
-//    the LOCAL generic algorithm (Algorithm 1) runs on C_M(ell) and what
-//    the tests use as an oracle for MIS properties.
-//
-// Both use the "uniform draw, local maxima join" iteration of
-// [Luby 1986 / Alon-Babai-Itai 1986], the variant the paper builds on.
+// Luby's randomized maximal independent set as a distributed protocol
+// over the communication graph, with the "uniform draw, local maxima
+// join" iteration of [Luby 1986 / Alon-Babai-Itai 1986], the variant the
+// paper builds on. Only tests run it. The LOCAL algorithms
+// (core/local_augment.hpp) do not call it: they emulate the same
+// iteration on their own conflict graphs.
 #pragma once
 
 #include <cstdint>
@@ -16,14 +11,12 @@
 
 #include "congest/network.hpp"
 #include "graph/graph.hpp"
-#include "support/rng.hpp"
 
 namespace dmatch {
 
 struct MisResult {
   std::vector<std::uint8_t> in_mis;  // one flag per node
-  congest::RunStats stats;           // distributed runs only
-  int iterations = 0;                // sequential runs only
+  congest::RunStats stats;
 };
 
 /// Node-program factory; each decided node writes its flag into `out`
@@ -32,12 +25,6 @@ congest::ProcessFactory luby_mis_factory(std::vector<std::uint8_t>& out);
 
 /// Distributed Luby MIS on the topology of `net`'s graph.
 MisResult luby_mis_distributed(congest::Network& net, int max_rounds = 1 << 20);
-
-/// Sequential Luby MIS over an adjacency-list graph (indices 0..N-1).
-/// Faithful emulation of the same random process; returns the iteration
-/// count so callers can charge emulation rounds (Lemma 3.5).
-MisResult luby_mis_sequential(const std::vector<std::vector<int>>& adj,
-                              Rng& rng);
 
 /// Checks that `in_mis` is independent and maximal in `adj`.
 bool is_maximal_independent_set(const std::vector<std::vector<int>>& adj,

@@ -82,32 +82,6 @@ TEST(DistributedMis, MessagesRespectCongestCap) {
   EXPECT_LE(result.stats.max_message_bits, net.message_cap_bits());
 }
 
-class SequentialMisParam
-    : public ::testing::TestWithParam<std::tuple<int, double, int>> {};
-
-TEST_P(SequentialMisParam, OracleIsMaximalIndependent) {
-  const auto [n, p, seed] = GetParam();
-  const Graph g = gen::gnp(n, p, static_cast<std::uint64_t>(seed));
-  const auto adj = adjacency(g);
-  Rng rng(static_cast<std::uint64_t>(seed));
-  const MisResult result = luby_mis_sequential(adj, rng);
-  EXPECT_TRUE(is_maximal_independent_set(adj, result.in_mis));
-  EXPECT_GE(result.iterations, 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SequentialMisParam,
-    ::testing::Combine(::testing::Values(20, 100),
-                       ::testing::Values(0.1, 0.4),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(SequentialMis, EmptyGraph) {
-  Rng rng(1);
-  const MisResult result = luby_mis_sequential({}, rng);
-  EXPECT_TRUE(result.in_mis.empty());
-  EXPECT_EQ(result.iterations, 0);
-}
-
 TEST(MisChecker, RejectsBadSets) {
   const Graph g = gen::path(3);  // 0-1-2
   const auto adj = adjacency(g);

@@ -1,4 +1,5 @@
-# Keeps the synchronous round in one place (ctest label `lint`).
+# Keeps the synchronous round and the LOCAL augmentation engine in one
+# place each (ctest label `lint`).
 #
 # Rule 1 fails if a message-fault salt (kSaltDrop / kSaltDup / kSaltDelay
 # / kSaltReorder, amount salts included) or a class deriving from
@@ -12,6 +13,11 @@
 # driver-only kernel entry points step_node, finish_route, advance_round,
 # close_run or undo_steps, or uses RoundRollback. A multi-process run
 # plugs into the driver through congest::RoundBarrier instead.
+#
+# Rule 3 keeps one LOCAL augmentation engine: outside
+# core/local_augment.hpp, no file names the VIEW record kind (kViewMsg).
+# Algorithms 1 + 2 and the (1 - eps)-MWM remark supply a policy to its one
+# node process instead of copying it.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/lint_round_kernel.cmake
 if(NOT SRC_DIR)
@@ -49,11 +55,14 @@ foreach(rel IN LISTS sources)
       list(APPEND violations "${rel}: RoundRollback outside the round driver")
     endif()
   endif()
+  if(NOT rel STREQUAL "core/local_augment.hpp" AND text MATCHES "kViewMsg")
+    list(APPEND violations "${rel}: LOCAL view record kind outside core/local_augment.hpp")
+  endif()
 endforeach()
 
 if(violations)
   list(JOIN violations "\n  " report)
   message(FATAL_ERROR
-          "round semantics outside congest/kernel and its driver:\n  ${report}")
+          "round or LOCAL engine semantics outside their owners:\n  ${report}")
 endif()
 message(STATUS "round kernel lint: ${checked} files clean")
